@@ -78,8 +78,13 @@ def _check_cli_order(n: int) -> None:
 
 
 def _parse_indices(text: str, n: int) -> list[int]:
-    """Comma list of indices and half-open a..b ranges; dedup, sort, range-check."""
+    """Comma list of indices and half-open a..b ranges; dedup, sort, range-check.
+
+    Every index and range bound is checked against 2^n before any range is
+    expanded, so an oversized range fails at once instead of filling memory.
+    """
     size = 1 << n
+    out_of_range = f"indices must lie in [0, {size})"
     picked: set[int] = set()
     for part in text.split(","):
         part = part.strip()
@@ -93,18 +98,20 @@ def _parse_indices(text: str, n: int) -> list[int]:
                 raise UsageError(f"bad index range {part!r}") from None
             if lo > hi:
                 raise UsageError(f"descending index range {part!r}")
+            if lo < 0 or hi > size:
+                raise UsageError(out_of_range)
             picked.update(range(lo, hi))
         else:
             try:
-                picked.add(int(part))
+                k = int(part)
             except ValueError:
                 raise UsageError(f"bad index entry {part!r}") from None
+            if not 0 <= k < size:
+                raise UsageError(out_of_range)
+            picked.add(k)
     if not picked:
         raise UsageError("--indices selected nothing")
-    out = sorted(picked)
-    if out[0] < 0 or out[-1] >= size:
-        raise UsageError(f"indices must lie in [0, {size})")
-    return out
+    return sorted(picked)
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -212,10 +212,9 @@ class BaseMatrix:
 
 BASE_MATRIX = BaseMatrix(SignVector.from_signs([1, 1]), SignVector.from_signs([1, -1]))
 
-_BASE_SIGNS = (
-    np.array([1, 1], dtype=np.int8),
-    np.array([1, -1], dtype=np.int8),
-)
+# The 8 packed rows of the order-8 matrix.  Entries j < 8 of row i are
+# (-1)^popcount(i AND j), so the first byte of any row is entry i % 8 here.
+_FIRST_BYTE = bytes.fromhex("005533660f5a3c69")
 
 
 @dataclass
@@ -230,10 +229,6 @@ class OpCounter:
         self.multiplications += count
 
 
-def _kron_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[:, None] * b[None, :]).reshape(-1)
-
-
 def kron(a: SignVector, b: SignVector, counter: OpCounter | None = None) -> SignVector:
     """Kronecker product: entry p*len(b)+q of the result is a[p] * b[q].
 
@@ -246,25 +241,38 @@ def kron(a: SignVector, b: SignVector, counter: OpCounter | None = None) -> Sign
         raise OrderError(f"kron result length {out_len} exceeds the 2^{ORDER_CAP} cap")
     if counter is not None:
         counter.add(len(a) * len(b))
-    return SignVector._pack(_kron_signs(a.to_numpy(), b.to_numpy()))
+    signs = a.to_numpy()[:, None] * b.to_numpy()[None, :]
+    return SignVector._pack(signs.reshape(-1))
 
 
 def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
     """Row i of the order-2^n Hadamard matrix, without building the matrix.
 
-    The binary digits of i, most significant first, pick which base row
-    enters each Kronecker factor, and the row accumulates left to right.
-    The returned counter always reads 2^(n+1) - 2; peak working memory is
-    the final row plus one half-size partial product.
+    The binary digits of i pick which base row enters each Kronecker
+    factor.  The row is built directly in packed form: the low 3 digits
+    select its first byte, and each higher digit b doubles the bytes built
+    so far, appending a copy for digit 0 or their bitwise complement for
+    digit 1.  With bit 1 encoding -1, that doubling is the Kronecker
+    product with [1, 1] or [1, -1].  The returned counter always reads
+    2^(n+1) - 2; peak working memory is the packed row plus one copy.
     """
     _check_order(n, ORDER_CAP)
     _check_index(i, n)
+    low = min(n, 3)
     counter = OpCounter()
-    acc = np.ones(1, dtype=np.int8)
-    for digit in dec2bin(i, n).digits:
-        counter.add(2 * acc.size)
-        acc = _kron_signs(acc, _BASE_SIGNS[digit])
-    return SignVector._pack(acc), counter
+    # The table stands for the first `low` levels, each charged 2 * length.
+    counter.add((2 << low) - 2)
+    out = np.empty(1 << (n - low), dtype=np.uint8)
+    # Orders below 3 keep only the top 2^n bits; the padding stays zero.
+    out[0] = _FIRST_BYTE[i & 7] & (0xFF00 >> (1 << low))
+    for b in range(low, n):
+        counter.add(2 << b)
+        half = 1 << (b - 3)
+        if (i >> b) & 1:
+            np.bitwise_not(out[:half], out=out[half : 2 * half])
+        else:
+            out[half : 2 * half] = out[:half]
+    return SignVector(out.tobytes(), 1 << n), counter
 
 
 # Chunk size for the closed-form oracle: bounds extra memory to O(1)
@@ -298,8 +306,6 @@ def full_matrix(n: int) -> list[SignVector]:
     Memory-quadratic by construction and capped at desk scale: it exists
     only to cross-check the row generator, never for production use.
     """
-    if n > FULL_MATRIX_CAP:
-        raise OrderError(f"full-matrix oracle is capped at n <= {FULL_MATRIX_CAP}, got {n}")
     _check_order(n, FULL_MATRIX_CAP)
     h = np.ones((1, 1), dtype=np.int8)
     for _ in range(n):

@@ -161,8 +161,9 @@ def _pgm_tokens(data: bytes, start: int, count: int) -> tuple[list[bytes], int]:
 def read_pgm(data: bytes) -> Scene:
     """Parse a P2 (text) or P5 (binary) graymap into a Scene.
 
-    Raises PgmError for malformed streams; dimension violations (sides
-    not powers of two) surface as the Scene's own ValueError.
+    Raises PgmError for malformed streams, negative text samples included;
+    dimension violations (sides not powers of two) surface as the Scene's
+    own ValueError.
     """
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
@@ -193,6 +194,8 @@ def read_pgm(data: bytes) -> Scene:
             values = np.array([int(t) for t in sample_tokens], dtype=np.int64)
         except ValueError:
             raise PgmError("non-numeric sample in text graymap") from None
+        if int(values.min(initial=0)) < 0:
+            raise PgmError("negative sample in text graymap")
     if int(values.max(initial=0)) > maxval:
         raise PgmError("sample exceeds declared maxval")
     return Scene(values, width, height)

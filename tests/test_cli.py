@@ -1,5 +1,7 @@
 """End-to-end tests of the command line surface and its exit-code contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,17 @@ class TestBatch:
         assert run("batch", "--indices", "0..9", "--n", "3") == 2
         assert run("batch", "--indices", "2..2", "--n", "3") == 2
 
+    @pytest.mark.parametrize("indices", ["0..1000000000000", "-1000000000000..0"])
+    def test_huge_index_range_rejected_before_expansion(self, indices, capsys):
+        tracemalloc.start()
+        try:
+            assert run("batch", f"--indices={indices}", "--n", "4") == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert "indices must lie in [0, 16)" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
@@ -161,6 +174,11 @@ class TestSimulateReconstruct:
         image = tmp_path / "odd.pgm"
         image.write_bytes(b"P2\n3 2\n255\n0 0 0 0 0 0\n")
         assert run("simulate", "--image", str(image)) == 2
+
+    def test_negative_pgm_sample_is_io_error(self, tmp_path):
+        image = tmp_path / "negative.pgm"
+        image.write_bytes(b"P2\n2 2\n255\n0 -1 0 0\n")
+        assert run("simulate", "--image", str(image)) == 3
 
     def test_corrupt_pgm_is_io_error(self, tmp_path):
         image = tmp_path / "corrupt.pgm"

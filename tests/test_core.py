@@ -1,5 +1,8 @@
 """Unit tests for single-row generation, its oracles, and sign packing."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -213,11 +216,28 @@ class TestGenerateRow:
         for i in range(1 << n):
             assert generate_row(i, n)[0] == rows[i]
 
-    @pytest.mark.parametrize("n", range(11, 17))
+    @pytest.mark.parametrize("n", range(11, 23))
     def test_matches_direct_row_spot(self, n):
+        # Fewer samples past n=16, where each oracle row costs milliseconds.
         rng = np.random.default_rng(n)
-        for i in map(int, rng.integers(0, 1 << n, size=1000)):
+        samples = 1000 if n <= 16 else 6
+        for i in map(int, rng.integers(0, 1 << n, size=samples)):
             assert generate_row(i, n)[0] == direct_row(i, n)
+
+    def test_row_at_order_22_peaks_at_twice_its_packed_size(self):
+        n = 22
+        generate_row(1, n)  # warm numpy paths before measuring
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            row, _ = generate_row((1 << n) - 3, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(row.packed) == (1 << n) // 8
+        assert peak - baseline <= 2 * (1 << n) // 8 + 64 * 1024
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_counter_matches_closed_form(self, n):

@@ -205,6 +205,10 @@ class TestPgm:
         with pytest.raises(PgmError):
             read_pgm(b"P2\n2 2\n10\n0 0 0 11\n")
 
+    def test_negative_text_sample(self):
+        with pytest.raises(PgmError):
+            read_pgm(b"P2\n2 2\n255\n0 -1 0 0\n")
+
     def test_non_power_of_two_dims_raise_scene_error(self):
         data = b"P2\n3 2\n255\n0 0 0 0 0 0\n"
         with pytest.raises(ValueError) as err:

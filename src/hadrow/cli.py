@@ -48,6 +48,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _SCHEME_NAMES = [scheme.value for scheme in OrderingScheme]
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class UsageError(ValueError):
@@ -258,9 +259,12 @@ def _parse_measurement_csv(text: str) -> tuple[dict, list[tuple[int, int]]]:
         if not sep:
             raise InputDataError(f"measurements line {lineno}: expected 'index,value'")
         try:
-            entries.append((int(left), int(right)))
+            index, value = int(left), int(right)
         except ValueError:
             raise InputDataError(f"measurements line {lineno}: non-integer field") from None
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise InputDataError(f"measurements line {lineno}: value does not fit in 64 bits")
+        entries.append((index, value))
     if not entries:
         raise InputDataError("measurements file holds no data lines")
     return meta, entries
@@ -296,10 +300,11 @@ def cmd_reconstruct(args) -> int:
             raise UsageError("scene shape unknown: pass --width/--height (no square for odd n)")
         width = height = 1 << (n // 2)
     measured = MeasurementSet(tuple(entries), scheme, n, width, height)
+    # The estimate is ours alone, so rounding and clipping reuse its buffer.
     estimate = reconstruct(measured)
     if estimate.dtype.kind == "f":
-        estimate = np.rint(estimate)
-    estimate = np.clip(estimate, 0, MAX_PIXEL).astype(np.int64)
+        np.rint(estimate, out=estimate)
+    np.clip(estimate, 0, MAX_PIXEL, out=estimate)
     _write_bytes(args.out, write_pgm(estimate))
     return EXIT_OK
 

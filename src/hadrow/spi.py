@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import _check_index
 from .ordering import OrderingScheme, generate_ordered_row, to_natural
-from .transform import Spectrum, ifwht
+from .transform import _ifwht_inplace
 
 __all__ = [
     "MAX_PIXEL",
@@ -125,13 +125,13 @@ def reconstruct(measurements: MeasurementSet) -> np.ndarray:
     missing coefficients stay zero.  A full index set recovers the scene
     exactly (integer dtype); partial sets give the linear estimate, which
     falls back to float64 when 2^n no longer divides evenly.  The result
-    has shape (height, width).
+    has shape (height, width); an integer result is the coefficient
+    buffer itself, transformed in place, so no second 2^n copy is made.
     """
     coeffs = np.zeros(1 << measurements.n, dtype=np.int64)
     for k, y in measurements.entries:
         coeffs[to_natural(k, measurements.n, measurements.scheme)] = y
-    flat = ifwht(Spectrum(coeffs, measurements.n))
-    return flat.reshape(measurements.height, measurements.width)
+    return _ifwht_inplace(coeffs).reshape(measurements.height, measurements.width)
 
 
 def _pgm_tokens(data: bytes, start: int, count: int) -> tuple[list[bytes], int]:
@@ -194,6 +194,8 @@ def read_pgm(data: bytes) -> Scene:
             values = np.array([int(t) for t in sample_tokens], dtype=np.int64)
         except ValueError:
             raise PgmError("non-numeric sample in text graymap") from None
+        except OverflowError:
+            raise PgmError("text graymap sample does not fit in 64 bits") from None
         if int(values.min(initial=0)) < 0:
             raise PgmError("negative sample in text graymap")
     if int(values.max(initial=0)) > maxval:
@@ -209,7 +211,7 @@ def write_pgm(image, maxval: int | None = None, binary: bool = True) -> bytes:
         arr = np.asarray(image)
         if arr.ndim != 2:
             raise ValueError("image must be a Scene or a 2-d array")
-    arr = arr.astype(np.int64)
+    arr = np.asarray(arr, dtype=np.int64)
     if int(arr.min(initial=0)) < 0:
         raise ValueError("pixels must be nonnegative")
     if maxval is None:

@@ -8,6 +8,10 @@ import numpy as np
 
 __all__ = ["Spectrum", "fwht", "ifwht"]
 
+# Source rows per step of the blocked transpose: each step writes 64
+# contiguous entries to every output row instead of one.
+_BAND = 64
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -30,24 +34,86 @@ def _checked(x) -> np.ndarray:
     return arr
 
 
+def _widened(x) -> np.ndarray:
+    """A fresh contiguous copy of x: int64 for integer input, float64 otherwise."""
+    arr = _checked(x)
+    dtype = np.int64 if issubclass(arr.dtype.type, np.integer) else np.float64
+    return arr.astype(dtype)
+
+
+def _transpose_into(dst: np.ndarray, src: np.ndarray, rows: int, cols: int) -> None:
+    """Write the (rows, cols) matrix held in src, transposed, into dst."""
+    matrix = src.reshape(rows, cols)
+    target = dst.reshape(cols, rows)
+    for r in range(0, rows, _BAND):
+        target[:, r : r + _BAND] = matrix[r : r + _BAND].T
+
+
+def _butterflies(v: np.ndarray, scratch: np.ndarray, half: int) -> None:
+    """Butterfly levels half, 2*half, ... < v.size of v, in place, low to high.
+
+    Each level turns every pair (a, b) that lies `half` apart into
+    (a + b, a - b); the differences pass through `scratch`, a contiguous
+    array of at least v.size // 2 entries whose contents are discarded.
+    """
+    while half < v.size:
+        pairs = v.reshape(-1, 2, half)
+        low, high = pairs[:, 0, :], pairs[:, 1, :]
+        diff = scratch[: low.size].reshape(low.shape)
+        np.subtract(low, high, out=diff)
+        low += high
+        high[...] = diff
+        half *= 2
+
+
+def _fwht_inplace(v: np.ndarray) -> None:
+    """Transform the contiguous length-2^n array v in place (see fwht).
+
+    Seen as a (2^a, 2^b) matrix, v holds its low b index bits along the
+    rows; in the transposed copy they pair whole rows instead.
+    """
+    cols = 1 << ((v.size.bit_length() - 1) // 2)
+    rows = v.size // cols
+    flipped = np.empty_like(v)
+    _transpose_into(flipped, v, rows, cols)
+    _butterflies(flipped, v, rows)
+    _transpose_into(v, flipped, cols, rows)
+    _butterflies(v, flipped, cols)
+
+
+def _ifwht_inplace(v: np.ndarray) -> np.ndarray:
+    """ifwht of the contiguous int64 or float64 array v, overwriting v.
+
+    Returns v itself when the integer result divides exactly, else a new
+    float64 array.
+    """
+    _fwht_inplace(v)
+    size = v.size
+    if issubclass(v.dtype.type, np.integer) and not (v & (size - 1)).any():
+        v >>= size.bit_length() - 1
+        return v
+    return v / size
+
+
 def fwht(x) -> Spectrum:
     """Multiply x by the order-2^n Hadamard matrix via the butterfly network.
 
     Coefficient i equals the inner product of natural-order row i with x,
     computed with n*2^n additions and subtractions.  Integer input is
-    widened to 64 bits; float input is carried in float64.
+    widened to 64 bits; float input is carried in float64.  x itself is
+    never modified.
+
+    The butterflies run in place on one copy of x, split by
+    H_(2^n) = H_(2^a) (x) H_(2^b) with b = n // 2: the low b levels run
+    on one transposed copy, where every butterfly spans whole contiguous
+    rows of 2^a entries, and the high a levels run on the copy after it
+    is transposed back.  Each half borrows the other buffer as scratch,
+    so the workspace is that one transposed copy of 2^n entries.  Levels
+    run low to high, so float results equal the plain level-by-level
+    network bit for bit.
     """
-    arr = _checked(x)
-    dtype = np.int64 if issubclass(arr.dtype.type, np.integer) else np.float64
-    v = arr.astype(dtype)
-    half = 1
-    while half < v.size:
-        pairs = v.reshape(-1, 2, half)
-        v = np.stack(
-            (pairs[:, 0, :] + pairs[:, 1, :], pairs[:, 0, :] - pairs[:, 1, :]),
-            axis=1,
-        ).reshape(-1)
-        half *= 2
+    v = _widened(x)
+    _fwht_inplace(v)
     return Spectrum(v, v.size.bit_length() - 1)
 
 
@@ -55,13 +121,7 @@ def ifwht(spectrum) -> np.ndarray:
     """Invert fwht using H H = 2^n I: transform again, divide by 2^n.
 
     Integer spectra that divide exactly come back as integers; otherwise
-    the result falls back to float64.
+    the result falls back to float64.  The argument is never modified.
     """
-    coeffs = spectrum.coefficients if isinstance(spectrum, Spectrum) else _checked(spectrum)
-    out = fwht(coeffs).coefficients
-    size = out.size
-    if issubclass(out.dtype.type, np.integer):
-        quotient, remainder = np.divmod(out, size)
-        if not remainder.any():
-            return quotient
-    return out / size
+    coeffs = spectrum.coefficients if isinstance(spectrum, Spectrum) else spectrum
+    return _ifwht_inplace(_widened(coeffs))

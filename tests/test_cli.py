@@ -162,6 +162,13 @@ class TestSimulateReconstruct:
         csv.write_text("0,ten\n")
         assert run("reconstruct", "--measurements", str(csv), "--n", "2") == 3
 
+    @pytest.mark.parametrize("value", ["99999999999999999999999", "-9223372036854775809"])
+    def test_measurement_beyond_int64_is_io_error(self, tmp_path, capsys, value):
+        csv = tmp_path / "huge.csv"
+        csv.write_text(f"0,{value}\n")
+        assert run("reconstruct", "--measurements", str(csv), "--n", "2") == 3
+        assert "64 bits" in capsys.readouterr().err
+
     def test_duplicate_measurement_is_usage_error(self, tmp_path):
         csv = tmp_path / "dup.csv"
         csv.write_text("0,1\n0,2\n")
@@ -179,6 +186,12 @@ class TestSimulateReconstruct:
         image = tmp_path / "negative.pgm"
         image.write_bytes(b"P2\n2 2\n255\n0 -1 0 0\n")
         assert run("simulate", "--image", str(image)) == 3
+
+    def test_pgm_sample_beyond_int64_is_io_error(self, tmp_path, capsys):
+        image = tmp_path / "huge.pgm"
+        image.write_bytes(b"P2\n2 2\n255\n0 99999999999999999999 0 0\n")
+        assert run("simulate", "--image", str(image)) == 3
+        assert "64 bits" in capsys.readouterr().err
 
     def test_corrupt_pgm_is_io_error(self, tmp_path):
         image = tmp_path / "corrupt.pgm"

@@ -209,6 +209,11 @@ class TestPgm:
         with pytest.raises(PgmError):
             read_pgm(b"P2\n2 2\n255\n0 -1 0 0\n")
 
+    @pytest.mark.parametrize("sample", [b"99999999999999999999", b"-99999999999999999999"])
+    def test_text_sample_beyond_int64(self, sample):
+        with pytest.raises(PgmError):
+            read_pgm(b"P2\n2 2\n255\n0 " + sample + b" 0 0\n")
+
     def test_non_power_of_two_dims_raise_scene_error(self):
         data = b"P2\n3 2\n255\n0 0 0 0 0 0\n"
         with pytest.raises(ValueError) as err:

@@ -1,9 +1,38 @@
 """Tests for the fast Walsh-Hadamard transform and its inverse."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hadrow import Spectrum, fwht, generate_row, ifwht
+from hadrow import MeasurementSet, OrderingScheme, Spectrum, fwht, generate_row, ifwht, reconstruct
+
+
+def stacked_fwht(x: np.ndarray) -> np.ndarray:
+    """Reference network: one fresh array per level, built with np.stack."""
+    v = x.copy()
+    half = 1
+    while half < v.size:
+        pairs = v.reshape(-1, 2, half)
+        v = np.stack(
+            (pairs[:, 0, :] + pairs[:, 1, :], pairs[:, 0, :] - pairs[:, 1, :]),
+            axis=1,
+        ).reshape(-1)
+        half *= 2
+    return v
+
+
+@pytest.mark.parametrize("dtype", ["int64", "float64"])
+@pytest.mark.parametrize("n", range(1, 23))
+def test_matches_stacked_reference_byte_for_byte(n, dtype):
+    rng = np.random.default_rng(1000 + n)
+    if dtype == "int64":
+        x = rng.integers(-(1 << 40), 1 << 40, size=1 << n)
+    else:
+        x = rng.standard_normal(1 << n)
+    out = fwht(x).coefficients
+    assert out.dtype == x.dtype
+    assert out.tobytes() == stacked_fwht(x).tobytes()
 
 
 def test_delta_maps_to_all_ones():
@@ -95,3 +124,33 @@ def test_rejects_non_power_of_two_shapes(bad):
 def test_spectrum_validates_length():
     with pytest.raises(ValueError):
         Spectrum(np.array([1, 2, 3]), 2)
+
+
+def test_strided_input_matches_reference():
+    x = np.random.default_rng(5).standard_normal(1 << 9)[::2]
+    assert fwht(x).coefficients.tobytes() == stacked_fwht(x).tobytes()
+
+
+@pytest.mark.parametrize("coeffs", [[10, -2, -4, 0], [1.0, 0.5, 0.25, 0.0], [1, 0, 0, 0]])
+def test_ifwht_leaves_its_spectrum_unchanged(coeffs):
+    arr = np.array(coeffs)
+    spectrum = Spectrum(arr, 2)
+    ifwht(spectrum)
+    assert spectrum.coefficients is arr
+    assert arr.tolist() == coeffs
+
+
+def test_reconstruct_peak_memory_is_bounded():
+    n = 20
+    measured = MeasurementSet(((0, 5 << n), (3, 1 << n)), OrderingScheme.SEQUENCY, n, 1024, 1024)
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        estimate = reconstruct(measured)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert estimate.dtype == np.int64
+    # coefficient buffer + transposed copy + the exactness mask, all int64
+    assert peak - baseline <= 3 * 8 * (1 << n) + (1 << 20)

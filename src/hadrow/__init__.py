@@ -21,6 +21,7 @@ from .core import (
     direct_row,
     full_matrix,
     generate_row,
+    generate_rows,
     kron,
     predicted_cost,
 )
@@ -28,6 +29,7 @@ from .formats import (
     BadMagicError,
     PatternFileHeader,
     PatternFormatError,
+    PatternWriter,
     TruncatedStreamError,
     UnsupportedVersionError,
     export_row_text,
@@ -41,6 +43,7 @@ from .ordering import (
     gray_code,
     sign_changes,
     to_natural,
+    to_natural_array,
 )
 from .spi import (
     MAX_PIXEL,
@@ -74,6 +77,7 @@ __all__ = [
     "OrderingScheme",
     "PatternFileHeader",
     "PatternFormatError",
+    "PatternWriter",
     "PgmError",
     "Scene",
     "SignVector",
@@ -88,6 +92,7 @@ __all__ = [
     "fwht",
     "generate_ordered_row",
     "generate_row",
+    "generate_rows",
     "gray_code",
     "ifwht",
     "kron",
@@ -98,6 +103,7 @@ __all__ = [
     "sign_changes",
     "simulate",
     "to_natural",
+    "to_natural_array",
     "write_patterns",
     "write_pgm",
 ]

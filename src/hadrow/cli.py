@@ -9,12 +9,12 @@ the order cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import statistics
 import sys
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from random import Random
 
 import numpy as np
@@ -27,10 +27,17 @@ from .core import (
     direct_row,
     full_matrix,
     generate_row,
+    generate_rows,
     predicted_cost,
 )
-from .formats import PatternFormatError, export_row_text, write_patterns
-from .ordering import OrderingScheme, generate_ordered_row, sign_changes, to_natural
+from .formats import PatternFormatError, PatternWriter, export_row_text
+from .ordering import (
+    OrderingScheme,
+    generate_ordered_row,
+    sign_changes,
+    to_natural,
+    to_natural_array,
+)
 from .spi import (
     MAX_PIXEL,
     DuplicateIndexError,
@@ -49,6 +56,13 @@ EXIT_IO = 3
 
 _SCHEME_NAMES = [scheme.value for scheme in OrderingScheme]
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+# `batch` builds and writes about this many bytes per kernel pass, at least
+# one row, so its memory stays flat in the number of rows.  Besides its
+# packed bytes, each row of a pass costs under _INDEX_WORK_BYTES of index
+# work (int64 copies of its index and the kernel's 32 mask bytes), which
+# dominates at small orders.
+BATCH_CHUNK_BYTES = 1 << 20
+_INDEX_WORK_BYTES = 64
 
 
 class UsageError(ValueError):
@@ -78,15 +92,17 @@ def _check_cli_order(n: int) -> None:
         raise UsageError(f"order exponent must be in [1, {cap}], got {n}")
 
 
-def _parse_indices(text: str, n: int) -> list[int]:
+def _parse_indices(text: str, n: int) -> np.ndarray:
     """Comma list of indices and half-open a..b ranges; dedup, sort, range-check.
 
     Every index and range bound is checked against 2^n before any range is
     expanded, so an oversized range fails at once instead of filling memory.
+    The selection is a sorted int64 array, 8 bytes per selected index.
     """
     size = 1 << n
     out_of_range = f"indices must lie in [0, {size})"
-    picked: set[int] = set()
+    ranges: list[tuple[int, int]] = []
+    singles: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -101,7 +117,7 @@ def _parse_indices(text: str, n: int) -> list[int]:
                 raise UsageError(f"descending index range {part!r}")
             if lo < 0 or hi > size:
                 raise UsageError(out_of_range)
-            picked.update(range(lo, hi))
+            ranges.append((lo, hi))
         else:
             try:
                 k = int(part)
@@ -109,10 +125,12 @@ def _parse_indices(text: str, n: int) -> list[int]:
                 raise UsageError(f"bad index entry {part!r}") from None
             if not 0 <= k < size:
                 raise UsageError(out_of_range)
-            picked.add(k)
-    if not picked:
+            singles.append(k)
+    pieces = [np.arange(lo, hi, dtype=np.int64) for lo, hi in ranges]
+    picked = np.unique(np.concatenate([np.array(singles, dtype=np.int64), *pieces]))
+    if not picked.size:
         raise UsageError("--indices selected nothing")
-    return sorted(picked)
+    return picked
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -148,22 +166,25 @@ def cmd_row(args) -> int:
 
 def cmd_batch(args) -> int:
     _check_cli_order(args.n)
+    # --jobs is still validated so that old command lines keep working,
+    # but one vectorized pass per chunk leaves no per-row work to share.
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     scheme = OrderingScheme(args.ordering)
     ordered = _parse_indices(args.indices, args.n)
-
-    def gen(k: int) -> tuple:
-        return k, generate_ordered_row(k, args.n, scheme)
-
-    if args.jobs == 1:
-        rows = [gen(k) for k in ordered]
+    row_bytes = ((1 << args.n) + 7) // 8
+    chunk = max(1, BATCH_CHUNK_BYTES // (row_bytes + _INDEX_WORK_BYTES))
+    if args.out is None:
+        target = contextlib.nullcontext(sys.stdout.buffer)
     else:
-        # map() preserves submission order, so the file is byte-identical
-        # to the single-threaded run.
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(gen, ordered))
-    _write_bytes(args.out, write_patterns(rows, args.n, scheme))
+        target = open(args.out, "wb")
+    with target as fh:
+        writer = PatternWriter(fh, ordered, args.n, scheme)
+        for start in range(0, ordered.size, chunk):
+            naturals = to_natural_array(ordered[start : start + chunk], args.n, scheme)
+            writer.write_rows(generate_rows(naturals, args.n)[0])
+        writer.finish()
+        fh.flush()
     return EXIT_OK
 
 
@@ -227,7 +248,7 @@ def cmd_simulate(args) -> int:
     _check_cli_order(scene.n)
     scheme = OrderingScheme(args.ordering)
     if args.indices is None:
-        ordered = list(range(1 << scene.n))
+        ordered = np.arange(1 << scene.n)
     else:
         ordered = _parse_indices(args.indices, scene.n)
     measured = simulate(scene, ordered, scheme)
@@ -267,6 +288,13 @@ def _parse_measurement_csv(text: str) -> tuple[dict, list[tuple[int, int]]]:
         entries.append((index, value))
     if not entries:
         raise InputDataError("measurements file holds no data lines")
+    # Every intermediate of the int64 transform is a signed subset sum of
+    # the values, so it cannot wrap while their magnitudes sum within
+    # int64.  A real scene stays far below: at most 2^(3n/2) * 65535.
+    if sum(abs(value) for _, value in entries) > _INT64_MAX:
+        raise InputDataError(
+            "measurement magnitudes sum beyond 2^63 - 1; the 64-bit transform would overflow"
+        )
     return meta, entries
 
 
@@ -363,7 +391,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ordering", choices=_SCHEME_NAMES, default="natural")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel row generation workers")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility (must be >= 1); has no effect, output is identical",
+    )
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("verify", help="run the invariant suites and print a pass/fail table")

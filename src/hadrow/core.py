@@ -31,6 +31,7 @@ __all__ = [
     "dec2bin",
     "kron",
     "generate_row",
+    "generate_rows",
     "direct_row",
     "full_matrix",
     "predicted_cost",
@@ -60,6 +61,22 @@ def _check_order(n: int, cap: int) -> None:
 def _check_index(i: int, n: int) -> None:
     if not 0 <= i < (1 << n):
         raise IndexRangeError(f"row index {i} out of range [0, {1 << n})")
+
+
+def _index_array(indices, n: int) -> np.ndarray:
+    """Row indices as a fresh int64 array, each checked against [0, 2^n)."""
+    arr = np.asarray(indices)
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"row indices must be integers, got dtype {arr.dtype}")
+    _check_index(int(arr.min()), n)
+    _check_index(int(arr.max()), n)
+    return arr.astype(np.int64).reshape(-1)
+
+
+# Row b holds the 8 signs that byte value b packs, most significant bit first.
+_SIGNS = 1 - 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -132,8 +149,8 @@ class SignVector:
 
     def to_numpy(self) -> np.ndarray:
         """Unpack to a fresh int8 array of +1/-1 entries."""
-        bits = np.unpackbits(np.frombuffer(self.packed, dtype=np.uint8), count=self.length)
-        return 1 - 2 * bits.astype(np.int8)
+        packed = np.frombuffer(self.packed, dtype=np.uint8)
+        return _SIGNS.take(packed, axis=0).reshape(-1)[: self.length]
 
     def dot(self, other: "SignVector") -> int:
         """Exact inner product; 2^n on self, 0 against any orthogonal row."""
@@ -215,6 +232,7 @@ BASE_MATRIX = BaseMatrix(SignVector.from_signs([1, 1]), SignVector.from_signs([1
 # The 8 packed rows of the order-8 matrix.  Entries j < 8 of row i are
 # (-1)^popcount(i AND j), so the first byte of any row is entry i % 8 here.
 _FIRST_BYTE = bytes.fromhex("005533660f5a3c69")
+_FIRST_BYTES = np.frombuffer(_FIRST_BYTE, dtype=np.uint8)
 
 
 @dataclass
@@ -273,6 +291,42 @@ def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
         else:
             out[half : 2 * half] = out[:half]
     return SignVector(out.tobytes(), 1 << n), counter
+
+
+def generate_rows(naturals, n: int) -> tuple[np.ndarray, OpCounter]:
+    """Natural rows `naturals` of the order-2^n matrix as one packed block.
+
+    Block doubling: the same copy/complement doubling as `generate_row`,
+    run once per index bit over every row of the block at once.  Row r
+    of the (count, ceil(2^n / 8)) uint8 result starts from the table byte
+    of its low 3 digits; at each higher digit b one NumPy pass XORs the
+    first half of every row into its second half with a per-row mask
+    that is 0xFF where digit b of that row's index is 1, giving the copy
+    or the bitwise complement.  Padding bits of orders below 3 stay zero.
+    Each row is charged 2^(n+1) - 2 multiplications, as `generate_row`
+    charges it, so the counter reads count * predicted_cost(n).  Working
+    memory is the block plus 32 mask bytes and a few int64 copies of the
+    index per row, so a caller bounds it by how many rows it asks for at
+    once.
+    """
+    _check_order(n, ORDER_CAP)
+    naturals = _index_array(naturals, n)
+    count = naturals.size
+    low = min(n, 3)
+    counter = OpCounter()
+    counter.add(count * ((2 << low) - 2))
+    out = np.empty((count, 1 << (n - low)), dtype=np.uint8)
+    out[:, 0] = _FIRST_BYTES[naturals & 7] & ((0xFF00 >> (1 << low)) & 0xFF)
+    # Column b of `masks` is 0xFF where digit b of the row's index is 1
+    # (n <= ORDER_CAP fits 32 bits, so this is 32 bytes per row).
+    as_bytes = naturals.astype("<u4").view(np.uint8).reshape(count, 4)
+    masks = np.unpackbits(as_bytes, axis=1, bitorder="little")
+    masks *= 0xFF
+    for b in range(low, n):
+        counter.add(count * (2 << b))
+        half = 1 << (b - 3)
+        np.bitwise_xor(out[:, :half], masks[:, b : b + 1], out=out[:, half : 2 * half])
+    return out, counter
 
 
 # Chunk size for the closed-form oracle: bounds extra memory to O(1)

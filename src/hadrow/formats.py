@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,6 +21,7 @@ __all__ = [
     "UnsupportedVersionError",
     "TruncatedStreamError",
     "PatternFileHeader",
+    "PatternWriter",
     "write_patterns",
     "read_patterns",
     "export_row_text",
@@ -66,6 +68,59 @@ class PatternFileHeader:
         return ((1 << self.n) + 7) // 8
 
 
+def _check_hadp_order(n: int) -> None:
+    if not 1 <= n <= 62:
+        raise ValueError(f"order exponent must be in [1, 62], got {n}")
+
+
+class PatternWriter:
+    """Streaming HADP writer: header and index block first, then rows as built.
+
+    Every index is known before any row is, so the constructor writes the
+    fixed header and the whole index block to `stream` at once, and each
+    `write_rows` call appends a block of packed rows straight after the
+    previous one.  The writer holds no row data itself: peak memory is
+    the index block plus whatever chunk of rows the caller builds at a
+    time.  `finish` checks that exactly one row per index was written.
+    """
+
+    def __init__(self, stream, indices, n: int, scheme: OrderingScheme) -> None:
+        scheme = OrderingScheme(scheme)
+        _check_hadp_order(n)
+        length = 1 << n
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        bad = np.flatnonzero((indices < 0) | (indices >= length))
+        if bad.size:
+            raise ValueError(f"index {indices[bad[0]]} out of range [0, {length})")
+        bad = np.flatnonzero(indices[1:] <= indices[:-1])
+        if bad.size:
+            t = bad[0]
+            raise ValueError(
+                f"indices must be strictly increasing, got {indices[t + 1]} after {indices[t]}"
+            )
+        self._stream = stream
+        self._row_bytes = (length + 7) // 8
+        self._count = indices.size
+        self._written = 0
+        stream.write(_HEADER.pack(MAGIC, VERSION, n, _SCHEME_CODES[scheme], self._count, 0))
+        stream.write(indices.astype("<u8"))
+
+    def write_rows(self, rows) -> None:
+        """Append whole packed rows: a bytes-like object or a 2-d uint8 block."""
+        size = memoryview(rows).nbytes
+        if size % self._row_bytes:
+            raise ValueError(f"{size} bytes is not a whole number of {self._row_bytes}-byte rows")
+        if self._written + size // self._row_bytes > self._count:
+            raise ValueError(f"more rows than the {self._count} indices in the header")
+        self._stream.write(rows)
+        self._written += size // self._row_bytes
+
+    def finish(self) -> None:
+        """Check that the stream holds one row per index."""
+        if self._written != self._count:
+            raise ValueError(f"{self._written} rows written for {self._count} indices")
+
+
 def write_patterns(
     rows: Sequence[tuple[int, SignVector]], n: int, scheme: OrderingScheme
 ) -> bytes:
@@ -73,29 +128,25 @@ def write_patterns(
 
     Layout: the fixed header, then count 8-byte little-endian indices in
     strictly increasing order, then the packed rows in the same order,
-    each zero padded to a byte boundary.
+    each zero padded to a byte boundary.  The bytes are the ones a
+    `PatternWriter` streams for the same rows.
     """
-    scheme = OrderingScheme(scheme)
-    if not 1 <= n <= 62:
-        raise ValueError(f"order exponent must be in [1, 62], got {n}")
+    _check_hadp_order(n)
     length = 1 << n
-    index_block = bytearray()
-    payload = bytearray()
-    previous = -1
-    count = 0
+    rows = list(rows)
+    # Indices are range-checked here as Python ints, of any size, before
+    # the writer converts them to int64.
     for index, row in rows:
         if len(row) != length:
             raise ValueError(f"row length {len(row)} does not match order 2^{n}")
         if not 0 <= index < length:
             raise ValueError(f"index {index} out of range [0, {length})")
-        if index <= previous:
-            raise ValueError(f"indices must be strictly increasing, got {index} after {previous}")
-        previous = index
-        index_block += index.to_bytes(8, "little")
-        payload += row.packed
-        count += 1
-    header = _HEADER.pack(MAGIC, VERSION, n, _SCHEME_CODES[scheme], count, 0)
-    return header + bytes(index_block) + bytes(payload)
+    out = io.BytesIO()
+    writer = PatternWriter(out, [index for index, _ in rows], n, scheme)
+    for _, row in rows:
+        writer.write_rows(row.packed)
+    writer.finish()
+    return out.getvalue()
 
 
 def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignVector]]]:

@@ -10,13 +10,21 @@ import enum
 
 import numpy as np
 
-from .core import INDEX_BITS_CAP, SignVector, _check_index, _check_order, generate_row
+from .core import (
+    INDEX_BITS_CAP,
+    SignVector,
+    _check_index,
+    _check_order,
+    _index_array,
+    generate_row,
+)
 
 __all__ = [
     "OrderingScheme",
     "gray_code",
     "bit_reverse",
     "to_natural",
+    "to_natural_array",
     "generate_ordered_row",
     "sign_changes",
 ]
@@ -62,6 +70,31 @@ def to_natural(k: int, n: int, scheme: OrderingScheme) -> int:
     if scheme is OrderingScheme.DYADIC:
         return bit_reverse(k, n)
     return bit_reverse(gray_code(k), n)
+
+
+def to_natural_array(ks, n: int, scheme: OrderingScheme) -> np.ndarray:
+    """`to_natural` over an array of ordered positions, as one int64 array.
+
+    The Gray code is one shift and XOR over the whole array, and the bit
+    reversal takes n vectorized steps, one per bit, so no per-index
+    Python work and no 2^n table is involved.  Every position is checked
+    against [0, 2^n) first, with `to_natural`'s error.
+    """
+    scheme = OrderingScheme(scheme)
+    _check_order(n, INDEX_BITS_CAP)
+    ks = _index_array(ks, n)
+    if scheme is OrderingScheme.NATURAL:
+        return ks
+    if scheme is OrderingScheme.SEQUENCY:
+        ks ^= ks >> 1
+    # ks is a private copy: shift its bits out low first, into out high first.
+    out = np.zeros_like(ks)
+    bit = np.empty_like(ks)
+    for _ in range(n):
+        out <<= 1
+        out |= np.bitwise_and(ks, 1, out=bit)
+        ks >>= 1
+    return out
 
 
 def generate_ordered_row(k: int, n: int, scheme: OrderingScheme) -> SignVector:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_index
-from .ordering import OrderingScheme, generate_ordered_row, to_natural
+from .ordering import OrderingScheme, generate_ordered_row, to_natural_array
 from .transform import _ifwht_inplace
 
 __all__ = [
@@ -128,10 +128,23 @@ def reconstruct(measurements: MeasurementSet) -> np.ndarray:
     has shape (height, width); an integer result is the coefficient
     buffer itself, transformed in place, so no second 2^n copy is made.
     """
-    coeffs = np.zeros(1 << measurements.n, dtype=np.int64)
-    for k, y in measurements.entries:
-        coeffs[to_natural(k, measurements.n, measurements.scheme)] = y
+    coeffs = _natural_coefficients(measurements)
     return _ifwht_inplace(coeffs).reshape(measurements.height, measurements.width)
+
+
+def _natural_coefficients(measurements: MeasurementSet) -> np.ndarray:
+    """Zeroed 2^n int64 buffer holding each measured value at its natural slot.
+
+    The index arrays are locals here, so none is held through the
+    transform's 2^n workspace.
+    """
+    entries = measurements.entries
+    ks = np.fromiter((k for k, _ in entries), dtype=np.int64, count=len(entries))
+    naturals = to_natural_array(ks, measurements.n, measurements.scheme)
+    ys = np.fromiter((y for _, y in entries), dtype=np.int64, count=len(entries))
+    coeffs = np.zeros(1 << measurements.n, dtype=np.int64)
+    coeffs[naturals] = ys
+    return coeffs
 
 
 def _pgm_tokens(data: bytes, start: int, count: int) -> tuple[list[bytes], int]:

@@ -5,7 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hadrow import full_matrix, generate_row, predicted_cost, read_patterns, read_pgm, write_pgm
+from hadrow import (
+    full_matrix,
+    generate_ordered_row,
+    generate_row,
+    predicted_cost,
+    read_patterns,
+    read_pgm,
+    write_patterns,
+    write_pgm,
+)
 from hadrow.cli import main
 
 
@@ -78,6 +87,38 @@ class TestBatch:
         assert run("batch", *args, "--out", str(seq), "--jobs", "1") == 0
         assert run("batch", *args, "--out", str(par), "--jobs", "4") == 0
         assert seq.read_bytes() == par.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "4"])
+    @pytest.mark.parametrize("scheme", ["natural", "sequency", "dyadic"])
+    def test_matches_write_patterns_over_ordered_rows(self, tmp_path, scheme, jobs):
+        # 1102 rows of 2 KiB span several kernel chunks.
+        n, spec = 14, "5000..5400,0..700,16383,1000"
+        ordered = [*range(700), 1000, *range(5000, 5400), 16383]
+        out = tmp_path / "p.hadp"
+        assert run("batch", "--indices", spec, "--n", str(n), "--ordering", scheme,
+                   "--jobs", jobs, "--out", str(out)) == 0
+        rows = [(k, generate_ordered_row(k, n, scheme)) for k in ordered]
+        assert out.read_bytes() == write_patterns(rows, n, scheme)
+
+    def test_stdout_gets_the_file_bytes(self, tmp_path, capsysbinary):
+        out = tmp_path / "p.hadp"
+        args = ["--indices", "0..40", "--n", "9", "--ordering", "dyadic"]
+        assert run("batch", *args, "--out", str(out)) == 0
+        assert run("batch", *args) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+    def test_peak_memory_is_one_chunk_not_the_file(self, tmp_path):
+        count, out = 8192, tmp_path / "big.hadp"
+        args = ["batch", "--indices", f"0..{count}", "--n", "14", "--out", str(out)]
+        assert run(*args[:2], "0..4", *args[3:]) == 0  # warm numpy paths
+        tracemalloc.start()
+        try:
+            assert run(*args) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == 16 + count * (8 + 2048)  # a 16 MiB file
+        assert peak <= 8 * count + 2 * 2**20
 
     def test_comma_list_and_ranges_merge(self, tmp_path):
         out = tmp_path / "p.hadp"
@@ -168,6 +209,22 @@ class TestSimulateReconstruct:
         csv.write_text(f"0,{value}\n")
         assert run("reconstruct", "--measurements", str(csv), "--n", "2") == 3
         assert "64 bits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "values,code",
+        [
+            ([2**62, 2**62 - 1], 0),  # magnitudes sum to exactly 2^63 - 1
+            ([2**62] * 4, 3),  # wrapped to an all-zero image before the bound
+        ],
+    )
+    def test_measurements_that_would_overflow_the_transform(self, tmp_path, capsys, values, code):
+        csv = tmp_path / "big.csv"
+        csv.write_text("".join(f"{k},{y}\n" for k, y in enumerate(values)))
+        out = tmp_path / "r.pgm"
+        assert run("reconstruct", "--measurements", str(csv), "--n", "2", "--out", str(out)) == code
+        if code:
+            assert "2^63 - 1" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_duplicate_measurement_is_usage_error(self, tmp_path):
         csv = tmp_path / "dup.csv"

@@ -18,9 +18,13 @@ from hadrow import (
     dec2bin,
     direct_row,
     full_matrix,
+    OrderingScheme,
     generate_row,
+    generate_rows,
     kron,
     predicted_cost,
+    to_natural,
+    to_natural_array,
 )
 
 # Row 6 of the order-16 matrix, cross-checked against both oracles below.
@@ -144,6 +148,16 @@ class TestSignVector:
         with pytest.raises(ValueError):
             SignVector.from_packed(b"\x41", 2)  # low bits must stay zero
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 14])
+    def test_to_numpy_is_fresh_and_matches_unpackbits(self, n):
+        row = generate_row((1 << n) - 1, n)[0]
+        bits = np.unpackbits(np.frombuffer(row.packed, dtype=np.uint8), count=1 << n)
+        first = row.to_numpy()
+        assert first.dtype == np.int8
+        assert np.array_equal(first, 1 - 2 * bits.astype(np.int8))
+        first[:] = 0
+        assert np.array_equal(row.to_numpy(), 1 - 2 * bits.astype(np.int8))
+
     def test_rejects_wrong_storage_size(self):
         with pytest.raises(ValueError):
             SignVector.from_packed(b"\x00\x00", 8)
@@ -264,6 +278,49 @@ class TestGenerateRow:
     def test_invalid_order(self, n):
         with pytest.raises(OrderError):
             generate_row(0, n)
+
+
+class TestGenerateRows:
+    @pytest.mark.parametrize("scheme", list(OrderingScheme))
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_direct_row_row_for_row(self, n, scheme):
+        # Every row up to n=10, 256 sampled ordered positions beyond.
+        if n <= 10:
+            ks = np.arange(1 << n)
+        else:
+            ks = np.random.default_rng(n).choice(1 << n, size=256, replace=False)
+        block, counter = generate_rows(to_natural_array(ks, n, scheme), n)
+        assert block.shape == (ks.size, ((1 << n) + 7) // 8)
+        assert block.dtype == np.uint8
+        for k, packed in zip(ks.tolist(), block):
+            assert packed.tobytes() == direct_row(to_natural(k, n, scheme), n).packed
+        assert counter.multiplications == ks.size * predicted_cost(n)
+
+    def test_rows_equal_generate_row_at_order_20(self):
+        naturals = [0, 1, 5, (1 << 20) - 1]
+        block, _ = generate_rows(naturals, 20)
+        for i, packed in zip(naturals, block):
+            assert packed.tobytes() == generate_row(i, 20)[0].packed
+
+    def test_empty_block(self):
+        block, counter = generate_rows([], 5)
+        assert block.shape == (0, 4)
+        assert counter.multiplications == 0
+
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexRangeError, match=r"\[0, 8\)"):
+            generate_rows([0, 8], 3)
+        with pytest.raises(IndexRangeError):
+            generate_rows([-1], 3)
+
+    def test_rejects_non_integer_indices(self):
+        with pytest.raises(TypeError):
+            generate_rows([0.5], 3)
+
+    @pytest.mark.parametrize("n", [0, 31])
+    def test_invalid_order(self, n):
+        with pytest.raises(OrderError):
+            generate_rows([0], n)
 
 
 class TestDirectRow:

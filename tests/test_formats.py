@@ -1,5 +1,7 @@
 """Tests for HADP pattern streams and textual row exports."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hadrow import (
     BadMagicError,
     OrderingScheme,
     PatternFormatError,
+    PatternWriter,
     SignVector,
     TruncatedStreamError,
     UnsupportedVersionError,
@@ -62,6 +65,43 @@ class TestWritePatterns:
         rows = [(9, generate_row(1, 3)[0])]
         with pytest.raises(ValueError):
             write_patterns(rows, 3, OrderingScheme.NATURAL)
+
+
+class TestPatternWriter:
+    def test_streams_the_bytes_write_patterns_returns(self):
+        n, indices = 5, [0, 3, 9, 30, 31]
+        rows = _rows_for(n, indices)
+        out = io.BytesIO()
+        writer = PatternWriter(out, np.array(indices), n, "sequency")
+        block = np.frombuffer(b"".join(row.packed for _, row in rows), dtype=np.uint8)
+        writer.write_rows(block[:8].reshape(2, 4))
+        writer.write_rows(block[8:].tobytes())
+        writer.finish()
+        assert out.getvalue() == write_patterns(rows, n, "sequency")
+
+    def test_header_and_index_block_come_first(self):
+        out = io.BytesIO()
+        PatternWriter(out, [2, 7], 3, OrderingScheme.DYADIC)
+        header = b"HADP" + bytes([1, 3, 2]) + (2).to_bytes(8, "little") + b"\x00"
+        assert out.getvalue() == header + (2).to_bytes(8, "little") + (7).to_bytes(8, "little")
+
+    @pytest.mark.parametrize("indices", [[3, 1], [2, 2], [0, 8], [-1]])
+    def test_rejects_bad_index_blocks(self, indices):
+        with pytest.raises(ValueError):
+            PatternWriter(io.BytesIO(), indices, 3, OrderingScheme.NATURAL)
+
+    def test_rejects_partial_rows_and_extra_rows(self):
+        writer = PatternWriter(io.BytesIO(), [0, 1], 4, OrderingScheme.NATURAL)
+        with pytest.raises(ValueError, match="whole number"):
+            writer.write_rows(b"\x00\x00\x00")
+        with pytest.raises(ValueError, match="more rows"):
+            writer.write_rows(bytes(6))
+
+    def test_finish_requires_one_row_per_index(self):
+        writer = PatternWriter(io.BytesIO(), [0, 1], 4, OrderingScheme.NATURAL)
+        writer.write_rows(bytes(2))
+        with pytest.raises(ValueError, match="1 rows written for 2 indices"):
+            writer.finish()
 
 
 class TestReadPatterns:

@@ -12,6 +12,7 @@ from hadrow import (
     sign_changes,
     SignVector,
     to_natural,
+    to_natural_array,
 )
 
 ALL_SCHEMES = list(OrderingScheme)
@@ -107,3 +108,36 @@ def test_index_out_of_range():
         to_natural(4, 2, OrderingScheme.SEQUENCY)
     with pytest.raises(IndexRangeError):
         generate_ordered_row(-1, 3, OrderingScheme.NATURAL)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@pytest.mark.parametrize("n", [1, 2, 5, 11])
+def test_array_map_matches_scalar_map(scheme, n):
+    ks = np.arange(1 << n)
+    mapped = to_natural_array(ks, n, scheme)
+    assert mapped.dtype == np.int64
+    assert mapped.tolist() == [to_natural(k, n, scheme) for k in range(1 << n)]
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_array_map_at_the_index_bit_cap(scheme):
+    n = 62
+    ks = [0, 1, 12345678901234567, (1 << n) - 2, (1 << n) - 1]
+    mapped = to_natural_array(np.array(ks, dtype=np.uint64), n, scheme)
+    assert mapped.tolist() == [to_natural(k, n, scheme) for k in ks]
+
+
+def test_array_map_leaves_its_input_alone():
+    ks = np.array([1, 2, 3])
+    to_natural_array(ks, 2, OrderingScheme.SEQUENCY)
+    assert ks.tolist() == [1, 2, 3]
+
+
+def test_array_map_range_and_type_errors():
+    with pytest.raises(IndexRangeError, match=r"row index 4 out of range \[0, 4\)"):
+        to_natural_array([0, 4], 2, OrderingScheme.SEQUENCY)
+    with pytest.raises(IndexRangeError):
+        to_natural_array([-1, 0], 2, OrderingScheme.DYADIC)
+    with pytest.raises(TypeError):
+        to_natural_array([0.0], 2, OrderingScheme.NATURAL)
+    assert to_natural_array([], 2, OrderingScheme.DYADIC).size == 0

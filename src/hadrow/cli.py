@@ -22,8 +22,6 @@ import numpy as np
 from .core import (
     FULL_MATRIX_CAP,
     ORDER_CAP,
-    IndexRangeError,
-    OrderError,
     direct_row,
     full_matrix,
     generate_row,
@@ -40,7 +38,6 @@ from .ordering import (
 )
 from .spi import (
     MAX_PIXEL,
-    DuplicateIndexError,
     MeasurementSet,
     PgmError,
     read_pgm,
@@ -133,21 +130,15 @@ def _parse_indices(text: str, n: int) -> np.ndarray:
     return picked
 
 
-def _write_text(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Binary sink for every subcommand's data: the --out file, else stdout."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-
-def _write_bytes(path: str | None, data: bytes) -> None:
-    if path is None:
-        sys.stdout.buffer.write(data)
+        yield sys.stdout.buffer
         sys.stdout.buffer.flush()
     else:
         with open(path, "wb") as fh:
-            fh.write(data)
+            yield fh
 
 
 def cmd_row(args) -> int:
@@ -158,9 +149,11 @@ def cmd_row(args) -> int:
     if args.verbose:
         print(f"multiplications: {counter.multiplications}", file=sys.stderr)
     if args.format == "packed":
-        _write_bytes(args.out, row.packed)
+        data = row.packed
     else:
-        _write_text(args.out, export_row_text(row, args.format))
+        data = export_row_text(row, args.format).encode("ascii")
+    with _output(args.out) as fh:
+        fh.write(data)
     return EXIT_OK
 
 
@@ -174,17 +167,12 @@ def cmd_batch(args) -> int:
     ordered = _parse_indices(args.indices, args.n)
     row_bytes = ((1 << args.n) + 7) // 8
     chunk = max(1, BATCH_CHUNK_BYTES // (row_bytes + _INDEX_WORK_BYTES))
-    if args.out is None:
-        target = contextlib.nullcontext(sys.stdout.buffer)
-    else:
-        target = open(args.out, "wb")
-    with target as fh:
+    with _output(args.out) as fh:
         writer = PatternWriter(fh, ordered, args.n, scheme)
         for start in range(0, ordered.size, chunk):
             naturals = to_natural_array(ordered[start : start + chunk], args.n, scheme)
             writer.write_rows(generate_rows(naturals, args.n)[0])
         writer.finish()
-        fh.flush()
     return EXIT_OK
 
 
@@ -257,7 +245,8 @@ def cmd_simulate(args) -> int:
         f"width={measured.width} height={measured.height}"
     ]
     lines += [f"{k},{y}" for k, y in measured.entries]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with _output(args.out) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
     return EXIT_OK
 
 
@@ -288,13 +277,6 @@ def _parse_measurement_csv(text: str) -> tuple[dict, list[tuple[int, int]]]:
         entries.append((index, value))
     if not entries:
         raise InputDataError("measurements file holds no data lines")
-    # Every intermediate of the int64 transform is a signed subset sum of
-    # the values, so it cannot wrap while their magnitudes sum within
-    # int64.  A real scene stays far below: at most 2^(3n/2) * 65535.
-    if sum(abs(value) for _, value in entries) > _INT64_MAX:
-        raise InputDataError(
-            "measurement magnitudes sum beyond 2^63 - 1; the 64-bit transform would overflow"
-        )
     return meta, entries
 
 
@@ -328,12 +310,18 @@ def cmd_reconstruct(args) -> int:
             raise UsageError("scene shape unknown: pass --width/--height (no square for odd n)")
         width = height = 1 << (n // 2)
     measured = MeasurementSet(tuple(entries), scheme, n, width, height)
+    try:
+        estimate = reconstruct(measured)
+    except ValueError as exc:
+        # The set is already validated, so only its values, which would
+        # overflow the 64-bit transform, can fail here: bad file contents.
+        raise InputDataError(str(exc)) from None
     # The estimate is ours alone, so rounding and clipping reuse its buffer.
-    estimate = reconstruct(measured)
     if estimate.dtype.kind == "f":
         np.rint(estimate, out=estimate)
     np.clip(estimate, 0, MAX_PIXEL, out=estimate)
-    _write_bytes(args.out, write_pgm(estimate))
+    with _output(args.out) as fh:
+        fh.write(write_pgm(estimate))
     return EXIT_OK
 
 
@@ -365,7 +353,8 @@ def cmd_bench(args) -> int:
         lines.append(
             f"{n},{statistics.median(times):.9f},{mults},{predicted_cost(n)},{peak - baseline}"
         )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with _output(args.out) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
     return EXIT_OK
 
 
@@ -433,24 +422,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputDataError as exc:
+    except (InputDataError, PgmError, PatternFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (PgmError, PatternFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (OrderError, IndexRangeError, DuplicateIndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
+        # UsageError, OrderError, IndexRangeError, DuplicateIndexError and
+        # any other bad value are usage errors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

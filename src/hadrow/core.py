@@ -13,6 +13,7 @@ purely to cross-check `generate_row` and each other.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +65,30 @@ def _check_index(i: int, n: int) -> None:
 
 
 def _index_array(indices, n: int) -> np.ndarray:
-    """Row indices as a fresh int64 array, each checked against [0, 2^n)."""
+    """Row indices as a fresh flat int64 array, each checked against [0, 2^n).
+
+    The one range check for every index set (block kernel, array ordering,
+    HADP writer and reader, measurement sets).  Integers of any size give
+    `IndexRangeError` when out of range; non-integers give TypeError.
+    """
     arr = np.asarray(indices)
     if arr.size == 0:
         return np.zeros(0, dtype=np.int64)
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind in "fO":
+        # Python ints that share no 64-bit dtype arrive as object or float64.
+        values = np.asarray(indices, dtype=object).flat
+        arr = np.array([operator.index(v) for v in values], dtype=object)
+    elif arr.dtype.kind not in "iu":
         raise TypeError(f"row indices must be integers, got dtype {arr.dtype}")
     _check_index(int(arr.min()), n)
     _check_index(int(arr.max()), n)
     return arr.astype(np.int64).reshape(-1)
+
+
+def _first_not_increasing(indices: np.ndarray) -> int | None:
+    """Position t of the first index with indices[t - 1] >= indices[t], else None."""
+    bad = np.flatnonzero(indices[1:] <= indices[:-1])
+    return int(bad[0]) + 1 if bad.size else None
 
 
 # Row b holds the 8 signs that byte value b packs, most significant bit first.

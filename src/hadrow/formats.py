@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SignVector
+from .core import INDEX_BITS_CAP, SignVector, _check_order, _first_not_increasing, _index_array
 from .ordering import OrderingScheme
 
 __all__ = [
@@ -68,11 +68,6 @@ class PatternFileHeader:
         return ((1 << self.n) + 7) // 8
 
 
-def _check_hadp_order(n: int) -> None:
-    if not 1 <= n <= 62:
-        raise ValueError(f"order exponent must be in [1, 62], got {n}")
-
-
 class PatternWriter:
     """Streaming HADP writer: header and index block first, then rows as built.
 
@@ -82,24 +77,21 @@ class PatternWriter:
     previous one.  The writer holds no row data itself: peak memory is
     the index block plus whatever chunk of rows the caller builds at a
     time.  `finish` checks that exactly one row per index was written.
+    `indices` pass core's shared checks: `IndexRangeError` for one outside
+    [0, 2^n), ValueError unless they strictly increase.
     """
 
     def __init__(self, stream, indices, n: int, scheme: OrderingScheme) -> None:
         scheme = OrderingScheme(scheme)
-        _check_hadp_order(n)
-        length = 1 << n
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        bad = np.flatnonzero((indices < 0) | (indices >= length))
-        if bad.size:
-            raise ValueError(f"index {indices[bad[0]]} out of range [0, {length})")
-        bad = np.flatnonzero(indices[1:] <= indices[:-1])
-        if bad.size:
-            t = bad[0]
+        _check_order(n, INDEX_BITS_CAP)
+        indices = _index_array(indices, n)
+        t = _first_not_increasing(indices)
+        if t is not None:
             raise ValueError(
-                f"indices must be strictly increasing, got {indices[t + 1]} after {indices[t]}"
+                f"indices must be strictly increasing, got {indices[t]} after {indices[t - 1]}"
             )
         self._stream = stream
-        self._row_bytes = (length + 7) // 8
+        self._row_bytes = ((1 << n) + 7) // 8
         self._count = indices.size
         self._written = 0
         stream.write(_HEADER.pack(MAGIC, VERSION, n, _SCHEME_CODES[scheme], self._count, 0))
@@ -129,18 +121,13 @@ def write_patterns(
     Layout: the fixed header, then count 8-byte little-endian indices in
     strictly increasing order, then the packed rows in the same order,
     each zero padded to a byte boundary.  The bytes are the ones a
-    `PatternWriter` streams for the same rows.
+    `PatternWriter` streams for the same rows, and it checks the indices.
     """
-    _check_hadp_order(n)
-    length = 1 << n
+    _check_order(n, INDEX_BITS_CAP)
     rows = list(rows)
-    # Indices are range-checked here as Python ints, of any size, before
-    # the writer converts them to int64.
-    for index, row in rows:
-        if len(row) != length:
+    for _, row in rows:
+        if len(row) != 1 << n:
             raise ValueError(f"row length {len(row)} does not match order 2^{n}")
-        if not 0 <= index < length:
-            raise ValueError(f"index {index} out of range [0, {length})")
     out = io.BytesIO()
     writer = PatternWriter(out, [index for index, _ in rows], n, scheme)
     for _, row in rows:
@@ -150,7 +137,11 @@ def write_patterns(
 
 
 def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignVector]]]:
-    """Exact inverse of write_patterns; trusts nothing outside the stream."""
+    """Exact inverse of write_patterns; trusts nothing outside the stream.
+
+    The index block passes the writer's shared checks; like every other
+    structural fault, a failure raises `PatternFormatError`.
+    """
     if len(data) >= 4 and data[:4] != MAGIC:
         raise BadMagicError(f"bad magic {data[:4]!r}")
     if len(data) < HEADER_SIZE:
@@ -160,8 +151,8 @@ def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignV
     _, version, n, scheme_code, count, reserved = _HEADER.unpack_from(data)
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported version {version}")
-    if not 1 <= n <= 62:
-        raise PatternFormatError(f"order exponent {n} out of range [1, 62]")
+    if not 1 <= n <= INDEX_BITS_CAP:
+        raise PatternFormatError(f"order exponent {n} out of range [1, {INDEX_BITS_CAP}]")
     if scheme_code not in _CODE_SCHEMES:
         raise PatternFormatError(f"unknown ordering scheme code {scheme_code}")
     if reserved != 0:
@@ -175,18 +166,16 @@ def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignV
         raise TruncatedStreamError(f"stream has {len(data)} bytes, header promises {need}")
     if len(data) > need:
         raise PatternFormatError(f"{len(data) - need} trailing bytes after payload")
-    pos = HEADER_SIZE
-    indices = [
-        int.from_bytes(data[pos + 8 * t : pos + 8 * t + 8], "little") for t in range(count)
-    ]
-    previous = -1
-    for index in indices:
-        if index >= length or index <= previous:
-            raise PatternFormatError("index block is not strictly increasing in range")
-        previous = index
-    pos += 8 * count
+    block = np.frombuffer(data, dtype="<u8", count=count, offset=HEADER_SIZE)
+    try:
+        indices = _index_array(block, n)
+    except ValueError as exc:
+        raise PatternFormatError(f"index block: {exc}") from None
+    if _first_not_increasing(indices) is not None:
+        raise PatternFormatError("index block is not strictly increasing")
+    pos = HEADER_SIZE + 8 * count
     rows = []
-    for t, index in enumerate(indices):
+    for t, index in enumerate(indices.tolist()):
         chunk = data[pos + t * row_bytes : pos + (t + 1) * row_bytes]
         try:
             rows.append((index, SignVector.from_packed(chunk, length)))

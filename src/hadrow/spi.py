@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_index
+from .core import _first_not_increasing, _index_array
 from .ordering import OrderingScheme, generate_ordered_row, to_natural_array
 from .transform import _ifwht_inplace
 
@@ -76,7 +76,11 @@ class Scene:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Detector readings: (ordered index, inner product) pairs plus context."""
+    """Detector readings: (ordered index, inner product) pairs plus context.
+
+    The indices pass core's shared checks: `IndexRangeError` for one outside
+    [0, 2^n), `DuplicateIndexError` unless they strictly increase once sorted.
+    """
 
     entries: tuple[tuple[int, int], ...]
     scheme: OrderingScheme
@@ -91,12 +95,10 @@ class MeasurementSet:
             raise ValueError(
                 f"width*height must equal 2^{self.n}, got {self.width}x{self.height}"
             )
-        seen = set()
-        for k, _ in self.entries:
-            _check_index(k, self.n)
-            if k in seen:
-                raise DuplicateIndexError(f"ordered index {k} measured twice")
-            seen.add(k)
+        ks = np.sort(_index_array(self.indices(), self.n))
+        t = _first_not_increasing(ks)
+        if t is not None:
+            raise DuplicateIndexError(f"ordered index {ks[t]} measured twice")
 
     def indices(self) -> list[int]:
         return [k for k, _ in self.entries]
@@ -127,6 +129,9 @@ def reconstruct(measurements: MeasurementSet) -> np.ndarray:
     falls back to float64 when 2^n no longer divides evenly.  The result
     has shape (height, width); an integer result is the coefficient
     buffer itself, transformed in place, so no second 2^n copy is made.
+    Each int64 transform intermediate is a signed subset sum of the values,
+    so values whose magnitudes sum past 2^63 - 1 raise ValueError up front
+    (a real scene sums to at most 2^(3n/2) * 65535).
     """
     coeffs = _natural_coefficients(measurements)
     return _ifwht_inplace(coeffs).reshape(measurements.height, measurements.width)
@@ -139,6 +144,10 @@ def _natural_coefficients(measurements: MeasurementSet) -> np.ndarray:
     transform's 2^n workspace.
     """
     entries = measurements.entries
+    if sum(abs(y) for _, y in entries) >= 1 << 63:
+        raise ValueError(
+            "measurement magnitudes sum beyond 2^63 - 1; the 64-bit transform would overflow"
+        )
     ks = np.fromiter((k for k, _ in entries), dtype=np.int64, count=len(entries))
     naturals = to_natural_array(ks, measurements.n, measurements.scheme)
     ys = np.fromiter((y for _, y in entries), dtype=np.int64, count=len(entries))

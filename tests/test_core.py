@@ -1,6 +1,7 @@
 """Unit tests for single-row generation, its oracles, and sign packing."""
 
 import gc
+import io
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from hadrow import (
     BASE_MATRIX,
     BitString,
     IndexRangeError,
+    MeasurementSet,
     OpCounter,
     OrderError,
     SignVector,
@@ -19,12 +21,14 @@ from hadrow import (
     direct_row,
     full_matrix,
     OrderingScheme,
+    PatternWriter,
     generate_row,
     generate_rows,
     kron,
     predicted_cost,
     to_natural,
     to_natural_array,
+    write_patterns,
 )
 
 # Row 6 of the order-16 matrix, cross-checked against both oracles below.
@@ -321,6 +325,28 @@ class TestGenerateRows:
     def test_invalid_order(self, n):
         with pytest.raises(OrderError):
             generate_rows([0], n)
+
+
+# Every caller that takes a set of row indices, fed one of order 2^4.
+INDEX_SET_CALLERS = {
+    "PatternWriter": lambda ks: PatternWriter(io.BytesIO(), ks, 4, "natural"),
+    "write_patterns": lambda ks: write_patterns(
+        [(k, generate_row(0, 4)[0]) for k in ks], 4, "natural"
+    ),
+    "generate_rows": lambda ks: generate_rows(ks, 4),
+    "to_natural_array": lambda ks: to_natural_array(ks, 4, "sequency"),
+    "MeasurementSet": lambda ks: MeasurementSet(tuple((k, 1) for k in ks), "natural", 4, 4, 4),
+}
+
+
+@pytest.mark.parametrize("caller", list(INDEX_SET_CALLERS))
+@pytest.mark.parametrize(
+    "ks", [[2**70], [0, -(2**70)], [0, 2**64], [-1, 2**63]], ids=["2^70", "-2^70", "2^64", "-1,2^63"]
+)
+def test_indices_beyond_64_bits_are_out_of_range(caller, ks):
+    # Python ints that fit no 64-bit dtype reach the one shared range check.
+    with pytest.raises(IndexRangeError):
+        INDEX_SET_CALLERS[caller](ks)
 
 
 class TestDirectRow:

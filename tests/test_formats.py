@@ -160,6 +160,13 @@ class TestReadPatterns:
         with pytest.raises(PatternFormatError):
             read_patterns(bytes(data))
 
+    @pytest.mark.parametrize("block", [(1, 8), (1, 2**64 - 1), (4, 1), (4, 4)])
+    def test_bad_index_block_rejected(self, block):
+        data = bytearray(write_patterns(_rows_for(3, [1, 4]), 3, OrderingScheme.NATURAL))
+        data[HEADER_SIZE : HEADER_SIZE + 16] = b"".join(k.to_bytes(8, "little") for k in block)
+        with pytest.raises(PatternFormatError):
+            read_patterns(bytes(data))
+
     def test_dirty_row_padding_rejected(self):
         data = bytearray(write_patterns(_rows_for(1, [0]), 1, OrderingScheme.NATURAL))
         data[-1] = 0x01  # pad bits of the 2-entry row must stay zero

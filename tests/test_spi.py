@@ -150,6 +150,14 @@ class TestReconstruct:
         assert estimate.dtype == np.float64
         assert estimate.reshape(-1).tolist() == [2.5, 2.5, 2.5, 2.5]
 
+    @pytest.mark.parametrize("values", [[2**62] * 4, [2**64]])
+    def test_values_that_would_overflow_the_transform(self, values):
+        # Four 2^62 values would wrap the int64 transform to an all-zero
+        # image, and 2^64 does not fit its int64 fill.
+        measured = MeasurementSet(tuple(enumerate(values)), OrderingScheme.NATURAL, 2, 2, 2)
+        with pytest.raises(ValueError, match=r"2\^63 - 1"):
+            reconstruct(measured)
+
     def test_duplicate_index_rejected(self):
         with pytest.raises(DuplicateIndexError):
             MeasurementSet(((0, 5), (0, 6)), OrderingScheme.NATURAL, 2, 2, 2)

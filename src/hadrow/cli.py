@@ -392,7 +392,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10, help=f"largest order exponent (<= {FULL_MATRIX_CAP})")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", help="measure a PGM scene through streamed rows")
+    p = sub.add_parser(
+        "simulate",
+        help="measure a PGM scene: one fast transform for n or more indices, "
+        "else one streamed row each",
+    )
     p.add_argument("--image", required=True, help="P2/P5 graymap with power-of-two sides")
     p.add_argument("--indices", default=None, help="ordered indices (default: all)")
     p.add_argument("--ordering", choices=_SCHEME_NAMES, default="natural")

@@ -1,21 +1,26 @@
-"""Single-pixel imaging simulation: stream one pattern row at a time.
+"""Single-pixel imaging simulation and reconstruction.
 
 A single-pixel detector measuring through Hadamard patterns records one
-inner product per pattern.  `simulate` reproduces that stream exactly
-(noiseless, signed +-1 patterns) and `reconstruct` inverts the measured
-coefficients with the fast transform, zero-filling whatever was not
-measured.  Scenes travel as portable graymaps (P2 or P5).
+inner product per pattern.  `simulate` reproduces those readings exactly
+(noiseless, signed +-1 patterns): a few patterns stream one generated row
+each, as the detector sees them, while n or more patterns of an
+order-2^n scene are read off one fast transform of the scene.
+`reconstruct` inverts the measured coefficients with the fast transform,
+zero-filling whatever was not measured.  Scenes travel as portable
+graymaps (P2 or P5).
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _first_not_increasing, _index_array
+from .core import INDEX_BITS_CAP, _check_order, _first_not_increasing, _index_array
 from .ordering import OrderingScheme, generate_ordered_row, to_natural_array
-from .transform import _ifwht_inplace
+from .transform import _ifwht_inplace, fwht
 
 __all__ = [
     "MAX_PIXEL",
@@ -78,8 +83,10 @@ class Scene:
 class MeasurementSet:
     """Detector readings: (ordered index, inner product) pairs plus context.
 
-    The indices pass core's shared checks: `IndexRangeError` for one outside
-    [0, 2^n), `DuplicateIndexError` unless they strictly increase once sorted.
+    Indices and values must be integers (TypeError otherwise) and n must
+    lie in [1, INDEX_BITS_CAP] (`OrderError`).  The indices pass core's
+    shared checks: `IndexRangeError` for one outside [0, 2^n),
+    `DuplicateIndexError` unless they strictly increase once sorted.
     """
 
     entries: tuple[tuple[int, int], ...]
@@ -89,35 +96,66 @@ class MeasurementSet:
     height: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple((int(k), int(y)) for k, y in self.entries))
+        entries = tuple((operator.index(k), operator.index(y)) for k, y in self.entries)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "scheme", OrderingScheme(self.scheme))
+        _check_order(self.n, INDEX_BITS_CAP)
         if self.width * self.height != 1 << self.n:
             raise ValueError(
                 f"width*height must equal 2^{self.n}, got {self.width}x{self.height}"
             )
-        ks = np.sort(_index_array(self.indices(), self.n))
-        t = _first_not_increasing(ks)
-        if t is not None:
-            raise DuplicateIndexError(f"ordered index {ks[t]} measured twice")
+        _distinct_indices(self.indices(), self.n)
 
     def indices(self) -> list[int]:
         return [k for k, _ in self.entries]
 
 
+def _distinct_indices(indices, n: int) -> np.ndarray:
+    """Indices as a fresh int64 array in their given order, all checked.
+
+    Core's `_index_array` raises TypeError for a non-integer and
+    `IndexRangeError` for an index outside [0, 2^n); a repeated index
+    raises `DuplicateIndexError`.
+    """
+    ks = _index_array(indices, n)
+    ordered = np.sort(ks)
+    t = _first_not_increasing(ordered)
+    if t is not None:
+        raise DuplicateIndexError(f"ordered index {ordered[t]} measured twice")
+    return ks
+
+
 def simulate(scene: Scene, indices, scheme=OrderingScheme.NATURAL) -> MeasurementSet:
-    """Measure `scene` at the given ordered indices, one streamed row each.
+    """Measure `scene` at the given ordered indices, keeping their order.
 
     y_k is the inner product of ordered row k with the flattened scene.
-    Rows are generated and discarded one at a time, so peak memory stays
-    at one row plus the scene no matter how many indices are requested.
+    `indices` may be any iterable of integers; the whole set is checked
+    before any row is measured (see `MeasurementSet` for the errors).
+
+    For an order-2^n scene, fewer than n indices stream one generated row
+    each, as the detector sees them: every row is built, dotted with the
+    scene and discarded, so the workspace is one row plus its int64 copy.
+    From n indices on, one fast transform of the scene yields every
+    coefficient at once and each y_k is read off at natural slot
+    `to_natural(k)`.  The transform's n*2^n additions cost about what n
+    streamed rows do, hence the cutoff at n.  Its workspace is two 2^n
+    int64 arrays (the transformed copy of the scene and the transform's
+    own buffer), the size of the scene's own pixels twice over.
     """
     scheme = OrderingScheme(scheme)
-    entries = []
-    for k in indices:
-        row = generate_ordered_row(int(k), scene.n, scheme)
-        value = int(row.to_numpy().astype(np.int64) @ scene.pixels)
-        entries.append((int(k), value))
-    return MeasurementSet(tuple(entries), scheme, scene.n, scene.width, scene.height)
+    if not isinstance(indices, (Sequence, np.ndarray)):
+        indices = list(indices)  # numpy makes a 0-d object array of a generator
+    ks = _distinct_indices(indices, scene.n)
+    if ks.size >= scene.n:
+        naturals = to_natural_array(ks, scene.n, scheme)
+        values = fwht(scene.pixels).coefficients[naturals].tolist()
+    else:
+        values = []
+        for k in ks.tolist():
+            row = generate_ordered_row(k, scene.n, scheme)
+            values.append(int(row.to_numpy().astype(np.int64) @ scene.pixels))
+    entries = tuple(zip(ks.tolist(), values))
+    return MeasurementSet(entries, scheme, scene.n, scene.width, scene.height)
 
 
 def reconstruct(measurements: MeasurementSet) -> np.ndarray:

@@ -12,6 +12,7 @@ from hadrow import (
     predicted_cost,
     read_patterns,
     read_pgm,
+    simulate,
     write_patterns,
     write_pgm,
 )
@@ -183,6 +184,26 @@ class TestSimulateReconstruct:
         assert run("simulate", "--image", str(image), "--ordering", scheme, "--out", str(csv)) == 0
         assert run("reconstruct", "--measurements", str(csv), "--out", str(out)) == 0
         assert np.array_equal(read_pgm(out.read_bytes()).reshaped(), pixels)
+
+    # 8x8 scene, n = 6: the full set and 9 picked indices take the
+    # transform, 2 stream; the reference streams one index per call.
+    @pytest.mark.parametrize("scheme", ["natural", "sequency", "dyadic"])
+    @pytest.mark.parametrize(
+        "indices,ks",
+        [(None, list(range(64))), ("9,0..3,40..44,63", [0, 1, 2, 9, 40, 41, 42, 43, 63]),
+         ("5,1", [1, 5])],
+    )
+    def test_csv_matches_per_index_simulate(self, tmp_path, scheme, indices, ks):
+        rng = np.random.default_rng(11)
+        image = tmp_path / "in.pgm"
+        image.write_bytes(write_pgm(rng.integers(0, 65536, size=(8, 8))))
+        csv = tmp_path / "m.csv"
+        argv = ["simulate", "--image", str(image), "--ordering", scheme, "--out", str(csv)]
+        assert run(*argv, *(["--indices", indices] if indices else [])) == 0
+        scene = read_pgm(image.read_bytes())
+        lines = [f"# hadrow n=6 scheme={scheme} width=8 height=8"]
+        lines += [f"{k},{y}" for k in ks for _, y in simulate(scene, [k], scheme).entries]
+        assert csv.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
     def test_reconstruct_known_lines(self, tmp_path):
         csv = tmp_path / "m.csv"

@@ -7,19 +7,42 @@ import numpy as np
 import pytest
 
 from hadrow import (
+    INDEX_BITS_CAP,
     DuplicateIndexError,
     IndexRangeError,
     MeasurementSet,
+    OrderError,
     OrderingScheme,
     PgmError,
     Scene,
+    direct_row,
     read_pgm,
     reconstruct,
     simulate,
+    to_natural,
     write_pgm,
 )
 
 ALL_SCHEMES = list(OrderingScheme)
+
+
+def _oracle_value(scene, k, scheme):
+    """Inner product of the scene with ordered row k, built by the direct oracle."""
+    row = direct_row(to_natural(k, scene.n, scheme), scene.n)
+    return int(row.to_numpy().astype(np.int64) @ scene.pixels)
+
+
+def _simulate_peak(scene, indices, scheme="sequency"):
+    """tracemalloc peak of one simulate call, above what was live before it."""
+    simulate(scene, [0, 1], scheme)  # warm caches before measuring
+    gc.collect()
+    tracemalloc.start()
+    base, _ = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    simulate(scene, indices, scheme)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak - base
 
 
 class TestScene:
@@ -109,6 +132,75 @@ class TestSimulate:
         assert many - few < 600_000  # growth is entry bookkeeping, not rows
 
 
+class TestSimulatePaths:
+    """Fewer than n indices stream one row each; n or more take one transform."""
+
+    # Scene 16x8, so n = 7: counts 6, 7 and 128 cover both paths and full sampling.
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("count", [6, 7, 128])
+    def test_matches_direct_row_oracle(self, scheme, count):
+        rng = np.random.default_rng(count)
+        scene = Scene(rng.integers(0, 65536, size=128), 16, 8)
+        ks = rng.permutation(128)[:count].tolist()
+        assert ks != sorted(ks)
+        measured = simulate(scene, ks, scheme)
+        assert measured.entries == tuple((k, _oracle_value(scene, k, scheme)) for k in ks)
+
+    # n = 4: three indices stream, four take the transform.  The bad index
+    # comes first, so truncating 1.9 would not collide with a later one.
+    @pytest.mark.parametrize("count", [3, 4])
+    @pytest.mark.parametrize(
+        "bad,error",
+        [(1.9, TypeError), (16, IndexRangeError), (-1, IndexRangeError), (2, DuplicateIndexError)],
+    )
+    def test_bad_index_fails_alike_on_both_paths(self, count, bad, error):
+        scene = Scene(np.arange(16), 4, 4)
+        with pytest.raises(error):
+            simulate(scene, [bad] + list(range(2, count + 1)))
+
+    @pytest.mark.parametrize("count", [3, 4, 16])
+    def test_accepts_any_integer_iterable(self, count):
+        scene = Scene(np.arange(16) * 7, 4, 4)
+        expected = simulate(scene, list(range(count)), "dyadic").entries
+        for indices in (
+            range(count),
+            tuple(range(count)),
+            np.arange(count),
+            np.arange(count, dtype=np.uint8),
+            (k for k in range(count)),
+        ):
+            assert simulate(scene, indices, "dyadic").entries == expected
+
+    def test_empty_index_set(self):
+        assert simulate(Scene(np.arange(16), 4, 4), []).entries == ()
+
+    def test_transform_workspace_is_two_scene_copies(self):
+        # The transformed copy of the scene and the transform's own buffer,
+        # 8 bytes per pixel each, plus numpy's ufunc buffers: at most three
+        # 8192-entry int64 blocks, 192 KiB, whatever n is.
+        rng = np.random.default_rng(6)
+        n = 16
+        scene = Scene(rng.integers(0, 65536, size=1 << n), 256, 256)
+        workspace = 2 * 8 * (1 << n) + 3 * 8192 * 8
+        # 64 KiB covers the n entries; a third scene copy would be 512 KiB.
+        assert _simulate_peak(scene, range(n)) < workspace + 65_536
+        # Full sampling adds entry bookkeeping, under 240 bytes per entry:
+        # two 2-tuples (the caller's and the set's own, alive together while
+        # the set normalises them), the two ints they share, and the index
+        # lists and int64 arrays that check them.
+        assert _simulate_peak(scene, range(1 << n)) < workspace + 240 * (1 << n)
+
+    def test_sparse_set_keeps_one_row_of_memory(self):
+        # n - 1 indices at n = 20 still stream: one row's int8 signs and
+        # int64 copy (9 bytes per pixel) plus its packed bytes, well under
+        # the transform's 16 bytes per pixel.
+        rng = np.random.default_rng(7)
+        n = 20
+        scene = Scene(rng.integers(0, 65536, size=1 << n), 1024, 1024)
+        ks = rng.choice(1 << n, size=n - 1, replace=False)
+        assert _simulate_peak(scene, ks) < 10 * (1 << n)
+
+
 class TestReconstruct:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_full_round_trip_is_exact(self, scheme):
@@ -165,6 +257,24 @@ class TestReconstruct:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MeasurementSet(((0, 5),), OrderingScheme.NATURAL, 2, 4, 2)
+
+    @pytest.mark.parametrize("entry", [(1.9, 3), (1, 2.7), (np.float64(1.0), 3), ("1", 3)])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(TypeError):
+            MeasurementSet((entry,), OrderingScheme.NATURAL, 2, 2, 2)
+
+    def test_numpy_integer_entries_become_python_ints(self):
+        measured = MeasurementSet(((np.int64(3), np.uint16(7)),), "natural", 2, 2, 2)
+        assert measured.entries == ((3, 7),)
+        assert all(type(v) is int for v in measured.entries[0])
+
+    @pytest.mark.parametrize(
+        "n,width,height",
+        [(0, 1, 1), (-1, 1, 1), (INDEX_BITS_CAP + 1, 1 << 32, 1 << 31)],
+    )
+    def test_order_outside_range_rejected(self, n, width, height):
+        with pytest.raises(OrderError):
+            MeasurementSet(((0, 5),), OrderingScheme.NATURAL, n, width, height)
 
 
 class TestPgm:

@@ -403,7 +403,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("reconstruct", help="invert a measurement CSV back to a PGM")
+    p = sub.add_parser(
+        "reconstruct",
+        help="invert a measurement CSV back to a PGM: w*2^w additions over the w natural "
+        "index bits the measurements use, then one 2^n write into the output buffer "
+        "(a transposed 2^n copy only when they span every bit)",
+    )
     p.add_argument("--measurements", required=True, help="CSV of k,y_k lines")
     p.add_argument("--out", default=None, help="PGM output path (default stdout)")
     p.add_argument("--n", type=int, default=None, help="order exponent (overrides CSV header)")

@@ -5,9 +5,9 @@ inner product per pattern.  `simulate` reproduces those readings exactly
 (noiseless, signed +-1 patterns): a few patterns stream one generated row
 each, as the detector sees them, while n or more patterns of an
 order-2^n scene are read off one fast transform of the scene.
-`reconstruct` inverts the measured coefficients with the fast transform,
-zero-filling whatever was not measured.  Scenes travel as portable
-graymaps (P2 or P5).
+`reconstruct` inverts the measured coefficients with the fast transform
+over just the index bits they use, zero-filling whatever was not
+measured.  Scenes travel as portable graymaps (P2 or P5).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import INDEX_BITS_CAP, _check_order, _first_not_increasing, _index_array
 from .ordering import OrderingScheme, generate_ordered_row, to_natural_array
-from .transform import _ifwht_inplace, fwht
+from .transform import _divided, _fwht_inplace, fwht
 
 __all__ = [
     "MAX_PIXEL",
@@ -165,21 +165,38 @@ def reconstruct(measurements: MeasurementSet) -> np.ndarray:
     missing coefficients stay zero.  A full index set recovers the scene
     exactly (integer dtype); partial sets give the linear estimate, which
     falls back to float64 when 2^n no longer divides evenly.  The result
-    has shape (height, width); an integer result is the coefficient
-    buffer itself, transformed in place, so no second 2^n copy is made.
+    has shape (height, width).
+
+    Only the index bits the measured natural slots use are transformed.
+    When they all lie in bits l..h-1, a window of w = h - l bits, the
+    factorization H_(2^n) = H_(2^(n-h)) (x) H_(2^w) (x) H_(2^l) turns the
+    estimate into the window's own inverse transform, repeated 2^l times
+    per entry and 2^(n-h) times over: w*2^w additions, then one write of
+    the 2^n result.  The workspace is that one output buffer.  Only a
+    window spanning every bit needs the transform's transposed 2^n copy;
+    its result is the coefficient buffer itself, transformed in place.
     Each int64 transform intermediate is a signed subset sum of the values,
     so values whose magnitudes sum past 2^63 - 1 raise ValueError up front
     (a real scene sums to at most 2^(3n/2) * 65535).
     """
-    coeffs = _natural_coefficients(measurements)
-    return _ifwht_inplace(coeffs).reshape(measurements.height, measurements.width)
+    n = measurements.n
+    low, window = _natural_coefficients(measurements)
+    _fwht_inplace(window)
+    window = _divided(window, n)
+    if window.size == 1 << n:
+        return window.reshape(measurements.height, measurements.width)
+    out = np.empty(1 << n, dtype=window.dtype)
+    out.reshape(-1, window.size, 1 << low)[...] = window[None, :, None]
+    return out.reshape(measurements.height, measurements.width)
 
 
-def _natural_coefficients(measurements: MeasurementSet) -> np.ndarray:
-    """Zeroed 2^n int64 buffer holding each measured value at its natural slot.
+def _natural_coefficients(measurements: MeasurementSet) -> tuple[int, np.ndarray]:
+    """The measured values in a window over the natural index bits they use.
 
-    The index arrays are locals here, so none is held through the
-    transform's 2^n workspace.
+    When the natural slots of the measured indices use only bits l..h-1,
+    returns l and a zeroed int64 window of 2^(h-l) slots holding each
+    value at slot `natural >> l`.  The index arrays are locals here, so
+    none is held through the transform's workspace.
     """
     entries = measurements.entries
     if sum(abs(y) for _, y in entries) >= 1 << 63:
@@ -188,10 +205,13 @@ def _natural_coefficients(measurements: MeasurementSet) -> np.ndarray:
         )
     ks = np.fromiter((k for k, _ in entries), dtype=np.int64, count=len(entries))
     naturals = to_natural_array(ks, measurements.n, measurements.scheme)
+    used = int(np.bitwise_or.reduce(naturals))
+    low = (used & -used).bit_length() - 1 if used else 0
+    naturals >>= low
     ys = np.fromiter((y for _, y in entries), dtype=np.int64, count=len(entries))
-    coeffs = np.zeros(1 << measurements.n, dtype=np.int64)
-    coeffs[naturals] = ys
-    return coeffs
+    window = np.zeros(1 << (used.bit_length() - low), dtype=np.int64)
+    window[naturals] = ys
+    return low, window
 
 
 def _pgm_tokens(data: bytes, start: int, count: int) -> tuple[list[bytes], int]:
@@ -249,7 +269,13 @@ def read_pgm(data: bytes) -> Scene:
         dtype = ">u2" if bytes_per == 2 else np.uint8
         values = np.frombuffer(raster, dtype=dtype).astype(np.int64)
     else:
-        sample_tokens, _ = _pgm_tokens(data, pos, count)
+        if data.find(b"#", pos) < 0:  # no comments: one split finds every sample
+            sample_tokens = data[pos:].split()
+            if len(sample_tokens) < count:
+                raise PgmError("truncated graymap header")
+            del sample_tokens[count:]
+        else:
+            sample_tokens, _ = _pgm_tokens(data, pos, count)
         try:
             values = np.array([int(t) for t in sample_tokens], dtype=np.int64)
         except ValueError:
@@ -272,13 +298,14 @@ def write_pgm(image, maxval: int | None = None, binary: bool = True) -> bytes:
         if arr.ndim != 2:
             raise ValueError("image must be a Scene or a 2-d array")
     arr = np.asarray(arr, dtype=np.int64)
-    if int(arr.min(initial=0)) < 0:
+    lowest, highest = int(arr.min(initial=0)), int(arr.max(initial=0))
+    if lowest < 0:
         raise ValueError("pixels must be nonnegative")
     if maxval is None:
-        maxval = 255 if int(arr.max(initial=0)) <= 255 else MAX_PIXEL
+        maxval = 255 if highest <= 255 else MAX_PIXEL
     if not 0 < maxval <= MAX_PIXEL:
         raise ValueError(f"maxval must be in [1, {MAX_PIXEL}], got {maxval}")
-    if int(arr.max(initial=0)) > maxval:
+    if highest > maxval:
         raise ValueError("pixel exceeds maxval")
     height, width = arr.shape
     header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n".encode("ascii")

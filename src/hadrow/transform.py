@@ -81,18 +81,16 @@ def _fwht_inplace(v: np.ndarray) -> None:
     _butterflies(v, flipped, cols)
 
 
-def _ifwht_inplace(v: np.ndarray) -> np.ndarray:
-    """ifwht of the contiguous int64 or float64 array v, overwriting v.
+def _divided(v: np.ndarray, n: int) -> np.ndarray:
+    """v / 2^n, exact where it can be.
 
-    Returns v itself when the integer result divides exactly, else a new
-    float64 array.
+    Integer v comes back itself, shifted in place, when every entry
+    divides exactly; otherwise the result is a new float64 array.
     """
-    _fwht_inplace(v)
-    size = v.size
-    if issubclass(v.dtype.type, np.integer) and not (v & (size - 1)).any():
-        v >>= size.bit_length() - 1
+    if issubclass(v.dtype.type, np.integer) and not (v & ((1 << n) - 1)).any():
+        v >>= n
         return v
-    return v / size
+    return v / (1 << n)
 
 
 def fwht(x) -> Spectrum:
@@ -124,4 +122,6 @@ def ifwht(spectrum) -> np.ndarray:
     the result falls back to float64.  The argument is never modified.
     """
     coeffs = spectrum.coefficients if isinstance(spectrum, Spectrum) else spectrum
-    return _ifwht_inplace(_widened(coeffs))
+    v = _widened(coeffs)
+    _fwht_inplace(v)
+    return _divided(v, v.size.bit_length() - 1)

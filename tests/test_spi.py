@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadrow import (
     INDEX_BITS_CAP,
@@ -16,10 +18,12 @@ from hadrow import (
     PgmError,
     Scene,
     direct_row,
+    ifwht,
     read_pgm,
     reconstruct,
     simulate,
     to_natural,
+    to_natural_array,
     write_pgm,
 )
 
@@ -277,6 +281,61 @@ class TestReconstruct:
             MeasurementSet(((0, 5),), OrderingScheme.NATURAL, n, width, height)
 
 
+def _dense_reconstruct(measurements):
+    """Reference estimate: every natural slot of a 2^n buffer, then the public ifwht."""
+    n, scheme = measurements.n, measurements.scheme
+    coeffs = np.zeros(1 << n, dtype=np.int64)
+    for k, y in measurements.entries:
+        coeffs[to_natural(k, n, scheme)] = y
+    return ifwht(coeffs).reshape(measurements.height, measurements.width)
+
+
+@st.composite
+def windowed_measurements(draw):
+    """Measurement sets whose natural slots use exactly bits low..high-1.
+
+    The window sits at the low bits, at the high bits, over every bit, or
+    is the lone index 0.  Values either keep every entry divisible by 2^n
+    (integer result) or are plain integers (mostly the float fallback).
+    """
+    n = draw(st.integers(1, 12))
+    scheme = draw(st.sampled_from(ALL_SCHEMES))
+    width_bits = draw(st.integers(0, n))
+    window = draw(st.sampled_from(["low", "high", "every", "zero"]))
+    if window == "zero":
+        low = high = 0
+    elif window == "low":
+        low, high = 0, draw(st.integers(1, n - 1)) if n > 1 else 0
+    elif window == "high":
+        low, high = draw(st.integers(1, n)), n
+    else:
+        low, high = 0, n
+    w = high - low
+    # The all-ones slot sets bits low..high-1, so the window spans them exactly.
+    slots = {(1 << w) - 1} | set(draw(st.lists(st.integers(0, (1 << w) - 1), max_size=16)))
+    naturals = np.array(sorted(slots), dtype=np.int64) << low
+    ordered = np.argsort(to_natural_array(np.arange(1 << n), n, scheme))
+    scale = draw(st.sampled_from([1, 3, 1 << n, 1 << 40]))
+    values = draw(
+        st.lists(st.integers(-(1 << 16), 1 << 16), min_size=len(slots), max_size=len(slots))
+    )
+    entries = tuple(zip(ordered[naturals].tolist(), (v * scale for v in values)))
+    return MeasurementSet(entries, scheme, n, 1 << width_bits, 1 << (n - width_bits))
+
+
+class TestReconstructWindow:
+    """reconstruct transforms only the natural index bits it was given."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(windowed_measurements())
+    def test_matches_dense_reference(self, measurements):
+        expected = _dense_reconstruct(measurements)
+        estimate = reconstruct(measurements)
+        assert estimate.dtype == expected.dtype
+        assert estimate.shape == expected.shape == (measurements.height, measurements.width)
+        assert estimate.tobytes() == expected.tobytes()
+
+
 class TestPgm:
     def test_text_graymap_with_comments(self):
         text = b"P2\n# test image\n4 2\n# another comment\n255\n0 1 2 3\n4 5 6 7\n"
@@ -331,6 +390,35 @@ class TestPgm:
     def test_text_sample_beyond_int64(self, sample):
         with pytest.raises(PgmError):
             read_pgm(b"P2\n2 2\n255\n0 " + sample + b" 0 0\n")
+
+    @pytest.mark.parametrize(
+        "raster",
+        [
+            b"0 1 2",  # truncated
+            b"0 x 2 3",  # non-numeric
+            b"0 -1 2 3",  # negative
+            b"0 1 2 256",  # over maxval
+            b"0 99999999999999999999 2 3",  # beyond int64
+        ],
+    )
+    def test_bad_raster_fails_alike_with_and_without_comments(self, raster):
+        # A raster without '#' is split at once; with one it is scanned.
+        errors = []
+        for body in (raster, b"# note\n" + raster, raster.replace(b" ", b"\n# c\n", 1)):
+            with pytest.raises(PgmError) as err:
+                read_pgm(b"P2\n2 2\n255\n" + body + b"\n")
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] == errors[2]
+
+    def test_commented_raster_reads_like_the_plain_one(self):
+        plain = b"P2\n4 2\n255\n0 1 2 3\n4 5 6 7\n"
+        commented = b"P2\n4 2\n255\n# first\n0 1 2 3 # row end\n4 5\t6\r\n7\n# trailing\n"
+        assert read_pgm(plain).pixels.tolist() == read_pgm(commented).pixels.tolist()
+        assert read_pgm(plain).pixels.tolist() == list(range(8))
+
+    def test_samples_past_the_raster_are_ignored(self):
+        scene = read_pgm(b"P2\n2 1\n255\n4 5 junk 7\n")
+        assert scene.pixels.tolist() == [4, 5]
 
     def test_non_power_of_two_dims_raise_scene_error(self):
         data = b"P2\n3 2\n255\n0 0 0 0 0 0\n"

@@ -5,7 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hadrow import MeasurementSet, OrderingScheme, Spectrum, fwht, generate_row, ifwht, reconstruct
+from hadrow import (
+    MeasurementSet,
+    OrderingScheme,
+    Scene,
+    Spectrum,
+    fwht,
+    generate_row,
+    ifwht,
+    reconstruct,
+    simulate,
+)
 
 
 def stacked_fwht(x: np.ndarray) -> np.ndarray:
@@ -152,5 +162,41 @@ def test_reconstruct_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert estimate.dtype == np.int64
-    # coefficient buffer + transposed copy + the exactness mask, all int64
+    # the int64 output buffer; the two-slot window's transform is negligible
     assert peak - baseline <= 3 * 8 * (1 << n) + (1 << 20)
+
+
+def _reconstruct_peak(measured):
+    """The estimate and the tracemalloc peak of one reconstruct call, above what was live."""
+    reconstruct(measured)  # warm caches before measuring
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        estimate = reconstruct(measured)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return estimate, peak - baseline
+
+
+@pytest.mark.parametrize("scale,dtype", [(1 << 20, np.int64), (1, np.float64)])
+def test_low_sequency_reconstruct_holds_one_output_buffer(scale, dtype):
+    # Sequency 0..255 at n = 20 use natural bits 12..19 only: an 8-bit
+    # window, broadcast into one 8-byte-per-pixel output.
+    n = 20
+    entries = tuple((k, (k % 7 - 3) * scale) for k in range(256))
+    measured = MeasurementSet(entries, OrderingScheme.SEQUENCY, n, 1024, 1024)
+    estimate, peak = _reconstruct_peak(measured)
+    assert estimate.dtype == dtype
+    assert peak <= 8 * (1 << n) + (1 << 20)
+
+
+def test_full_sampling_reconstruct_adds_no_broadcast_copy():
+    # A window over every bit returns the coefficient buffer itself,
+    # transformed in place, with no broadcast into a further 2^n output.
+    n = 16
+    scene = Scene(np.random.default_rng(16).integers(0, 65536, size=1 << n), 256, 256)
+    estimate, peak = _reconstruct_peak(simulate(scene, range(1 << n), "sequency"))
+    assert np.array_equal(estimate, scene.reshaped())
+    assert peak <= 3 * 8 * (1 << n) + (1 << 20)

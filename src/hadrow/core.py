@@ -247,8 +247,7 @@ BASE_MATRIX = BaseMatrix(SignVector.from_signs([1, 1]), SignVector.from_signs([1
 
 # The 8 packed rows of the order-8 matrix.  Entries j < 8 of row i are
 # (-1)^popcount(i AND j), so the first byte of any row is entry i % 8 here.
-_FIRST_BYTE = bytes.fromhex("005533660f5a3c69")
-_FIRST_BYTES = np.frombuffer(_FIRST_BYTE, dtype=np.uint8)
+_FIRST_BYTES = np.frombuffer(bytes.fromhex("005533660f5a3c69"), dtype=np.uint8)
 
 
 @dataclass
@@ -298,7 +297,7 @@ def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
     counter.add((2 << low) - 2)
     out = np.empty(1 << (n - low), dtype=np.uint8)
     # Orders below 3 keep only the top 2^n bits; the padding stays zero.
-    out[0] = _FIRST_BYTE[i & 7] & (0xFF00 >> (1 << low))
+    out[0] = _FIRST_BYTES[i & 7] & ((0xFF00 >> (1 << low)) & 0xFF)
     for b in range(low, n):
         counter.add(2 << b)
         half = 1 << (b - 3)

@@ -1,12 +1,13 @@
 """Row orderings: natural (Sylvester), sequency (Walsh), and dyadic (Paley).
 
 Reordering never touches row contents.  Each scheme is a bijection on
-row indices computed bit by bit, so no 2^n lookup table is ever built.
+row indices, bit-reversed through one 256-entry byte table, never a 2^n one.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 
 import numpy as np
 
@@ -46,13 +47,21 @@ def gray_code(k: int) -> int:
     return k ^ (k >> 1)
 
 
+# Byte b is b reversed: unpacked low bit first, repacked high bit first.
+_REVERSED_BYTES = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8), bitorder="little")
+).tobytes()
+
+
 def bit_reverse(value: int, width: int) -> int:
-    """Reverse the low `width` bits of value."""
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
+    """Low `width` bits of any integer value reversed, as a Python int; ValueError if width < 0."""
+    value, width = operator.index(value), operator.index(width)
+    if width < 0:
+        raise ValueError(f"bit width must be nonnegative, got {width}")
+    nbytes = (width + 7) // 8
+    # Reversed little-endian bytes read big-endian reverse all 8 * nbytes bits.
+    low = (value & ((1 << width) - 1)).to_bytes(nbytes, "little")
+    return int.from_bytes(low.translate(_REVERSED_BYTES), "big") >> (8 * nbytes - width)
 
 
 def to_natural(k: int, n: int, scheme: OrderingScheme) -> int:
@@ -63,6 +72,7 @@ def to_natural(k: int, n: int, scheme: OrderingScheme) -> int:
     rows by their number of sign changes.
     """
     scheme = OrderingScheme(scheme)
+    k = operator.index(k)
     _check_order(n, INDEX_BITS_CAP)
     _check_index(k, n)
     if scheme is OrderingScheme.NATURAL:
@@ -75,10 +85,10 @@ def to_natural(k: int, n: int, scheme: OrderingScheme) -> int:
 def to_natural_array(ks, n: int, scheme: OrderingScheme) -> np.ndarray:
     """`to_natural` over an array of ordered positions, as one int64 array.
 
-    The Gray code is one shift and XOR over the whole array, and the bit
-    reversal takes n vectorized steps, one per bit, so no per-index
-    Python work and no 2^n table is involved.  Every position is checked
-    against [0, 2^n) first, with `to_natural`'s error.
+    The Gray code is one shift and XOR over the whole array and the bit
+    reversal one translation of its bytes through the byte table, so no
+    per-index Python work is involved; working memory is two int64 arrays.
+    Every position is checked against [0, 2^n) first, with `to_natural`'s error.
     """
     scheme = OrderingScheme(scheme)
     _check_order(n, INDEX_BITS_CAP)
@@ -87,14 +97,12 @@ def to_natural_array(ks, n: int, scheme: OrderingScheme) -> np.ndarray:
         return ks
     if scheme is OrderingScheme.SEQUENCY:
         ks ^= ks >> 1
-    # ks is a private copy: shift its bits out low first, into out high first.
-    out = np.zeros_like(ks)
-    bit = np.empty_like(ks)
-    for _ in range(n):
-        out <<= 1
-        out |= np.bitwise_and(ks, 1, out=bit)
-        ks >>= 1
-    return out
+    # As in bit_reverse over 64 bits; each rebinding frees the copy before it.
+    ks = ks.astype("<i8", copy=False).tobytes()
+    ks = np.frombuffer(ks.translate(_REVERSED_BYTES), ">u8")
+    ks = ks.astype(np.uint64)
+    ks >>= 64 - n
+    return ks.view(np.int64)
 
 
 def generate_ordered_row(k: int, n: int, scheme: OrderingScheme) -> SignVector:

@@ -13,13 +13,14 @@ measured.  Scenes travel as portable graymaps (P2 or P5).
 from __future__ import annotations
 
 import operator
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INDEX_BITS_CAP, _check_order, _first_not_increasing, _index_array
-from .ordering import OrderingScheme, generate_ordered_row, to_natural_array
+from .core import INDEX_BITS_CAP, _check_order, _first_not_increasing, _index_array, generate_row
+from .ordering import OrderingScheme, to_natural_array
 from .transform import _divided, _fwht_inplace, fwht
 
 __all__ = [
@@ -100,9 +101,9 @@ class MeasurementSet:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "scheme", OrderingScheme(self.scheme))
         _check_order(self.n, INDEX_BITS_CAP)
-        if self.width * self.height != 1 << self.n:
+        if self.width < 1 or self.height < 1 or self.width * self.height != 1 << self.n:
             raise ValueError(
-                f"width*height must equal 2^{self.n}, got {self.width}x{self.height}"
+                f"sides must be >= 1 with width*height = 2^{self.n}, got {self.width}x{self.height}"
             )
         _distinct_indices(self.indices(), self.n)
 
@@ -146,13 +147,13 @@ def simulate(scene: Scene, indices, scheme=OrderingScheme.NATURAL) -> Measuremen
     if not isinstance(indices, (Sequence, np.ndarray)):
         indices = list(indices)  # numpy makes a 0-d object array of a generator
     ks = _distinct_indices(indices, scene.n)
+    naturals = to_natural_array(ks, scene.n, scheme)
     if ks.size >= scene.n:
-        naturals = to_natural_array(ks, scene.n, scheme)
         values = fwht(scene.pixels).coefficients[naturals].tolist()
     else:
         values = []
-        for k in ks.tolist():
-            row = generate_ordered_row(k, scene.n, scheme)
+        for natural in naturals.tolist():
+            row, _ = generate_row(natural, scene.n)
             values.append(int(row.to_numpy().astype(np.int64) @ scene.pixels))
     entries = tuple(zip(ks.tolist(), values))
     return MeasurementSet(entries, scheme, scene.n, scene.width, scene.height)
@@ -214,28 +215,19 @@ def _natural_coefficients(measurements: MeasurementSet) -> tuple[int, np.ndarray
     return low, window
 
 
+# A comment where a token could start, else a token up to the next whitespace.
+_PGM_TOKEN = re.compile(rb"#[^\n]*|([^\s#]\S*)")
+
+
 def _pgm_tokens(data: bytes, start: int, count: int) -> tuple[list[bytes], int]:
     """Scan whitespace-separated header tokens, skipping # comments."""
     tokens: list[bytes] = []
-    pos = start
-    while len(tokens) < count:
-        while pos < len(data):
-            char = data[pos : pos + 1]
-            if char.isspace():
-                pos += 1
-            elif char == b"#":
-                newline = data.find(b"\n", pos)
-                pos = len(data) if newline < 0 else newline + 1
-            else:
-                break
-        if pos >= len(data):
-            raise PgmError("truncated graymap header")
-        end = pos
-        while end < len(data) and not data[end : end + 1].isspace():
-            end += 1
-        tokens.append(data[pos:end])
-        pos = end
-    return tokens, pos
+    for match in _PGM_TOKEN.finditer(data, start):
+        if match.group(1) is not None:
+            tokens.append(match.group(1))
+            if len(tokens) == count:
+                return tokens, match.end()
+    raise PgmError("truncated graymap header")
 
 
 def read_pgm(data: bytes) -> Scene:

@@ -247,6 +247,18 @@ class TestSimulateReconstruct:
             assert "2^63 - 1" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "header,flags",
+        [("# hadrow n=2 width=-2 height=-2\n", []), ("", ["--width", "-1", "--height", "-4"])],
+        ids=["header", "flags"],
+    )
+    def test_side_below_one_is_usage_error(self, tmp_path, capsys, header, flags):
+        # Both products equal 2^2; the measurement set rejects the sides.
+        csv = tmp_path / "m.csv"
+        csv.write_text(header + "0,10\n")
+        assert run("reconstruct", "--measurements", str(csv), "--n", "2", *flags) == 2
+        assert "sides must be >= 1" in capsys.readouterr().err
+
     def test_duplicate_measurement_is_usage_error(self, tmp_path):
         csv = tmp_path / "dup.csv"
         csv.write_text("0,1\n0,2\n")

@@ -1,7 +1,12 @@
 """Tests for the natural, sequency, and dyadic index permutations."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadrow import (
     IndexRangeError,
@@ -27,6 +32,73 @@ def test_bit_reverse():
     assert bit_reverse(0b10, 2) == 0b01
     assert bit_reverse(0b110, 4) == 0b0110
     assert bit_reverse(0b1011, 4) == 0b1101
+
+
+def _string_reverse(value, width):
+    """Independent reference: reverse the binary digits of the masked value as text."""
+    if width == 0:
+        return 0
+    return int(format(value & ((1 << width) - 1), f"0{width}b")[::-1], 2)
+
+
+def _string_natural(k, n, scheme):
+    scheme = OrderingScheme(scheme)
+    if scheme is OrderingScheme.NATURAL:
+        return k
+    return _string_reverse(k ^ (k >> 1) if scheme is OrderingScheme.SEQUENCY else k, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.integers(0, 200))
+def test_bit_reverse_matches_string_reversal(data, width):
+    # Values reach past 2^width and below zero: only the low width bits count.
+    value = data.draw(st.integers(-(1 << (width + 8)), 1 << (width + 8)))
+    assert bit_reverse(value, width) == _string_reverse(value, width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 62), st.sampled_from(ALL_SCHEMES))
+def test_maps_match_string_reversal(data, n, scheme):
+    ks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    expected = [_string_natural(k, n, scheme) for k in ks]
+    assert [to_natural(k, n, scheme) for k in ks] == expected
+    for dtype in (np.int64, np.uint64):
+        mapped = to_natural_array(np.array(ks, dtype=dtype), n, scheme)
+        assert mapped.dtype == np.int64
+        assert mapped.tolist() == expected
+
+
+def test_bit_reverse_rejects_a_negative_width():
+    with pytest.raises(ValueError, match="nonnegative"):
+        bit_reverse(5, -1)
+    assert bit_reverse(5, 0) == 0
+
+
+def test_numpy_integers_map_to_python_ints():
+    assert type(bit_reverse(np.int64(5), 4)) is int
+    assert type(bit_reverse(np.uint8(5), np.int32(4))) is int
+    for scheme in ALL_SCHEMES:
+        natural = to_natural(np.int64(5), 4, scheme)
+        assert type(natural) is int
+        assert natural == _string_natural(5, 4, scheme)
+    assert to_natural(np.int64(5), 4, "dyadic") == 10
+
+
+def test_array_map_memory_is_two_index_arrays():
+    # At most two copies of the positions are live: 16 bytes per index.
+    n = 20
+    ks = np.arange(1 << n)
+    to_natural_array(ks[:8], n, "sequency")  # warm numpy paths
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        to_natural_array(ks, n, "sequency")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 16 * ks.size + 256 * 1024
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)

@@ -262,6 +262,12 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             MeasurementSet(((0, 5),), OrderingScheme.NATURAL, 2, 4, 2)
 
+    @pytest.mark.parametrize("width,height", [(-2, -2), (-1, -4)])
+    def test_side_below_one_rejected(self, width, height):
+        # The product still equals 2^2, so only the side check catches these.
+        with pytest.raises(ValueError, match="sides must be >= 1"):
+            MeasurementSet(((0, 5),), OrderingScheme.NATURAL, 2, width, height)
+
     @pytest.mark.parametrize("entry", [(1.9, 3), (1, 2.7), (np.float64(1.0), 3), ("1", 3)])
     def test_non_integer_entry_rejected(self, entry):
         with pytest.raises(TypeError):
@@ -342,6 +348,13 @@ class TestPgm:
         scene = read_pgm(text)
         assert scene.width == 4 and scene.height == 2
         assert scene.pixels.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+        # CRLF, tab, vertical tab and form feed separate header tokens, and a
+        # comment may follow any of them.
+        odd = b"P2\r\n# test image\r\n4\t# after a tab\n2\x0b255\x0c0 1 2 3\r\n4 5 6 7\r\n"
+        assert read_pgm(odd).pixels.tolist() == list(range(8))
+        # A '#' inside a token does not open a comment.
+        with pytest.raises(PgmError, match="non-numeric graymap header"):
+            read_pgm(b"P2\n4 2#3\n255\n0 1 2 3 4 5 6 7\n")
 
     def test_binary_round_trip_8bit(self):
         rng = np.random.default_rng(2)
@@ -415,6 +428,10 @@ class TestPgm:
         commented = b"P2\n4 2\n255\n# first\n0 1 2 3 # row end\n4 5\t6\r\n7\n# trailing\n"
         assert read_pgm(plain).pixels.tolist() == read_pgm(commented).pixels.tolist()
         assert read_pgm(plain).pixels.tolist() == list(range(8))
+        odd = b"P2\r\n4 2\r\n255\r\n0\t# tab\r\n1\x0b2\x0c3 # c\r\n4 5 6 7\r\n"
+        assert read_pgm(odd).pixels.tolist() == list(range(8))
+        with pytest.raises(PgmError, match="non-numeric sample"):
+            read_pgm(b"P2\n4 2\n255\n0 1 2 3#4\n4 5 6 7\n")
 
     def test_samples_past_the_raster_are_ignored(self):
         scene = read_pgm(b"P2\n2 1\n255\n4 5 junk 7\n")

@@ -291,7 +291,11 @@ def _meta_int(meta: dict, key: str) -> int | None:
 
 def cmd_reconstruct(args) -> int:
     with open(args.measurements, "r", encoding="ascii") as fh:
-        meta, entries = _parse_measurement_csv(fh.read())
+        # The text is freed once parsed, before the transform's buffers exist.
+        try:
+            meta, entries = _parse_measurement_csv(fh.read())
+        except UnicodeDecodeError:
+            raise InputDataError("measurements file is not ASCII text") from None
     n = args.n if args.n is not None else _meta_int(meta, "n")
     if n is None:
         raise UsageError("order exponent unknown: no CSV header and no --n")
@@ -407,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "reconstruct",
         help="invert a measurement CSV back to a PGM: w*2^w additions over the w natural "
         "index bits the measurements use, then one 2^n write into the output buffer "
-        "(a transposed 2^n copy only when they span every bit)",
+        "(a spare 2^n transform buffer only when they span every bit)",
     )
     p.add_argument("--measurements", required=True, help="CSV of k,y_k lines")
     p.add_argument("--out", default=None, help="PGM output path (default stdout)")

@@ -64,6 +64,23 @@ def _check_index(i: int, n: int) -> None:
         raise IndexRangeError(f"row index {i} out of range [0, {1 << n})")
 
 
+def _integer_array(values, what: str) -> np.ndarray:
+    """values as a flat integer array, integers of any size kept exact.
+
+    An array of a NumPy integer dtype passes as it is; other input comes
+    back as an object array of Python ints, or raises TypeError naming
+    `what` when it holds a non-integer.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "fO":
+        # Python ints that share no 64-bit dtype arrive as object or float64.
+        values = np.asarray(values, dtype=object).flat
+        return np.array([operator.index(v) for v in values], dtype=object)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.reshape(-1)
+
+
 def _index_array(indices, n: int) -> np.ndarray:
     """Row indices as a fresh flat int64 array, each checked against [0, 2^n).
 
@@ -71,18 +88,12 @@ def _index_array(indices, n: int) -> np.ndarray:
     HADP writer and reader, measurement sets).  Integers of any size give
     `IndexRangeError` when out of range; non-integers give TypeError.
     """
-    arr = np.asarray(indices)
+    arr = _integer_array(indices, "row indices")
     if arr.size == 0:
         return np.zeros(0, dtype=np.int64)
-    if arr.dtype.kind in "fO":
-        # Python ints that share no 64-bit dtype arrive as object or float64.
-        values = np.asarray(indices, dtype=object).flat
-        arr = np.array([operator.index(v) for v in values], dtype=object)
-    elif arr.dtype.kind not in "iu":
-        raise TypeError(f"row indices must be integers, got dtype {arr.dtype}")
     _check_index(int(arr.min()), n)
     _check_index(int(arr.max()), n)
-    return arr.astype(np.int64).reshape(-1)
+    return arr.astype(np.int64)
 
 
 def _first_not_increasing(indices: np.ndarray) -> int | None:

@@ -19,9 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INDEX_BITS_CAP, _check_order, _first_not_increasing, _index_array, generate_row
+from .core import (
+    INDEX_BITS_CAP,
+    _check_order,
+    _first_not_increasing,
+    _index_array,
+    _integer_array,
+    generate_row,
+)
 from .ordering import OrderingScheme, to_natural_array
-from .transform import _divided, _fwht_inplace, fwht
+from .transform import _divided, _fwht, fwht
 
 __all__ = [
     "MAX_PIXEL",
@@ -52,23 +59,27 @@ def _is_pow2(value: int) -> bool:
 
 @dataclass(frozen=True)
 class Scene:
-    """Row-major nonnegative integer image with power-of-two dimensions."""
+    """Row-major nonnegative integer image with power-of-two dimensions.
+
+    Pixels must be integers (TypeError otherwise) in [0, MAX_PIXEL].
+    """
 
     pixels: np.ndarray
     width: int
     height: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.pixels, dtype=np.int64).reshape(-1)
-        object.__setattr__(self, "pixels", arr)
         if not (_is_pow2(self.width) and _is_pow2(self.height)):
             raise ValueError(
                 f"scene dimensions must be powers of two, got {self.width}x{self.height}"
             )
-        if arr.size != self.width * self.height:
-            raise ValueError(f"expected {self.width * self.height} pixels, got {arr.size}")
+        size = np.size(self.pixels)
+        if size != self.width * self.height:
+            raise ValueError(f"expected {self.width * self.height} pixels, got {size}")
+        arr = _integer_array(self.pixels, "pixels")
         if int(arr.min()) < 0 or int(arr.max()) > MAX_PIXEL:
             raise ValueError(f"pixel values must lie in [0, {MAX_PIXEL}]")
+        object.__setattr__(self, "pixels", arr.astype(np.int64, copy=False))
 
     @property
     def n(self) -> int:
@@ -174,16 +185,15 @@ def reconstruct(measurements: MeasurementSet) -> np.ndarray:
     estimate into the window's own inverse transform, repeated 2^l times
     per entry and 2^(n-h) times over: w*2^w additions, then one write of
     the 2^n result.  The workspace is that one output buffer.  Only a
-    window spanning every bit needs the transform's transposed 2^n copy;
-    its result is the coefficient buffer itself, transformed in place.
+    window spanning every bit needs the transform's spare 2^n buffer; its
+    result is whichever of the two buffers the transform ended in.
     Each int64 transform intermediate is a signed subset sum of the values,
     so values whose magnitudes sum past 2^63 - 1 raise ValueError up front
     (a real scene sums to at most 2^(3n/2) * 65535).
     """
     n = measurements.n
     low, window = _natural_coefficients(measurements)
-    _fwht_inplace(window)
-    window = _divided(window, n)
+    window = _divided(_fwht(window), n)
     if window.size == 1 << n:
         return window.reshape(measurements.height, measurements.width)
     out = np.empty(1 << n, dtype=window.dtype)

@@ -8,10 +8,6 @@ import numpy as np
 
 __all__ = ["Spectrum", "fwht", "ifwht"]
 
-# Source rows per step of the blocked transpose: each step writes 64
-# contiguous entries to every output row instead of one.
-_BAND = 64
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -27,70 +23,47 @@ class Spectrum:
             raise ValueError(f"spectrum needs exactly {1 << self.n} coefficients")
 
 
-def _checked(x) -> np.ndarray:
+def _widened(x) -> np.ndarray:
+    """A fresh contiguous copy of x: int64 for integer input, float64 otherwise.
+
+    ValueError unless x is one-dimensional with a power-of-two length.
+    """
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size == 0 or arr.size & (arr.size - 1):
         raise ValueError(f"transform length must be a power of two, got shape {arr.shape}")
-    return arr
-
-
-def _widened(x) -> np.ndarray:
-    """A fresh contiguous copy of x: int64 for integer input, float64 otherwise."""
-    arr = _checked(x)
     dtype = np.int64 if issubclass(arr.dtype.type, np.integer) else np.float64
     return arr.astype(dtype)
 
 
-def _transpose_into(dst: np.ndarray, src: np.ndarray, rows: int, cols: int) -> None:
-    """Write the (rows, cols) matrix held in src, transposed, into dst."""
-    matrix = src.reshape(rows, cols)
-    target = dst.reshape(cols, rows)
-    for r in range(0, rows, _BAND):
-        target[:, r : r + _BAND] = matrix[r : r + _BAND].T
+def _fwht(v: np.ndarray) -> np.ndarray:
+    """The transform of the contiguous length-2^n array v (see fwht).
 
-
-def _butterflies(v: np.ndarray, scratch: np.ndarray, half: int) -> None:
-    """Butterfly levels half, 2*half, ... < v.size of v, in place, low to high.
-
-    Each level turns every pair (a, b) that lies `half` apart into
-    (a + b, a - b); the differences pass through `scratch`, a contiguous
-    array of at least v.size // 2 entries whose contents are discarded.
+    Returns whichever of v and one spare buffer the last level wrote;
+    v's contents are lost either way.
     """
-    while half < v.size:
-        pairs = v.reshape(-1, 2, half)
-        low, high = pairs[:, 0, :], pairs[:, 1, :]
-        diff = scratch[: low.size].reshape(low.shape)
-        np.subtract(low, high, out=diff)
-        low += high
-        high[...] = diff
-        half *= 2
-
-
-def _fwht_inplace(v: np.ndarray) -> None:
-    """Transform the contiguous length-2^n array v in place (see fwht).
-
-    Seen as a (2^a, 2^b) matrix, v holds its low b index bits along the
-    rows; in the transposed copy they pair whole rows instead.
-    """
-    cols = 1 << ((v.size.bit_length() - 1) // 2)
-    rows = v.size // cols
-    flipped = np.empty_like(v)
-    _transpose_into(flipped, v, rows, cols)
-    _butterflies(flipped, v, rows)
-    _transpose_into(v, flipped, cols, rows)
-    _butterflies(v, flipped, cols)
+    spare = np.empty_like(v)
+    half = v.size // 2
+    for _ in range(v.size.bit_length() - 1):
+        np.add(v[0::2], v[1::2], out=spare[:half])
+        np.subtract(v[0::2], v[1::2], out=spare[half:])
+        v, spare = spare, v
+    return v
 
 
 def _divided(v: np.ndarray, n: int) -> np.ndarray:
     """v / 2^n, exact where it can be.
 
     Integer v comes back itself, shifted in place, when every entry
-    divides exactly; otherwise the result is a new float64 array.
+    divides exactly; otherwise the result is a new float64 array.  Nothing
+    else of size 2^n is allocated: the test is one OR reduction, and the
+    cast comes before the division, so NumPy needs no casting buffers.
     """
-    if issubclass(v.dtype.type, np.integer) and not (v & ((1 << n) - 1)).any():
+    if issubclass(v.dtype.type, np.integer) and not int(np.bitwise_or.reduce(v)) & ((1 << n) - 1):
         v >>= n
         return v
-    return v / (1 << n)
+    out = v.astype(np.float64)
+    out /= 1 << n
+    return out
 
 
 def fwht(x) -> Spectrum:
@@ -101,17 +74,15 @@ def fwht(x) -> Spectrum:
     widened to 64 bits; float input is carried in float64.  x itself is
     never modified.
 
-    The butterflies run in place on one copy of x, split by
-    H_(2^n) = H_(2^a) (x) H_(2^b) with b = n // 2: the low b levels run
-    on one transposed copy, where every butterfly spans whole contiguous
-    rows of 2^a entries, and the high a levels run on the copy after it
-    is transposed back.  Each half borrows the other buffer as scratch,
-    so the workspace is that one transposed copy of 2^n entries.  Levels
-    run low to high, so float results equal the plain level-by-level
-    network bit for bit.
+    The levels run in Pease's constant geometry: each one reads the pairs
+    (v[2j], v[2j+1]) and writes their sum to slot j and their difference
+    to slot j + 2^(n-1) of the other buffer.  That combines one index bit
+    per level, low to high, and moves it to the top, so after n levels
+    every bit is back in place.  The operands are those of the plain
+    level-by-level network, so float results equal it bit for bit.  The
+    workspace beyond the copy of x is one spare buffer of 2^n entries.
     """
-    v = _widened(x)
-    _fwht_inplace(v)
+    v = _fwht(_widened(x))
     return Spectrum(v, v.size.bit_length() - 1)
 
 
@@ -122,6 +93,5 @@ def ifwht(spectrum) -> np.ndarray:
     the result falls back to float64.  The argument is never modified.
     """
     coeffs = spectrum.coefficients if isinstance(spectrum, Spectrum) else spectrum
-    v = _widened(coeffs)
-    _fwht_inplace(v)
+    v = _fwht(_widened(coeffs))
     return _divided(v, v.size.bit_length() - 1)

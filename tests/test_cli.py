@@ -224,6 +224,14 @@ class TestSimulateReconstruct:
         csv.write_text("0,ten\n")
         assert run("reconstruct", "--measurements", str(csv), "--n", "2") == 3
 
+    def test_non_ascii_csv_is_io_error(self, tmp_path, capsys):
+        csv = tmp_path / "latin.csv"
+        csv.write_bytes(b"1,\xc3\xa90\n")
+        out = tmp_path / "r.pgm"
+        assert run("reconstruct", "--measurements", str(csv), "--n", "2", "--out", str(out)) == 3
+        assert "not ASCII" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["99999999999999999999999", "-9223372036854775809"])
     def test_measurement_beyond_int64_is_io_error(self, tmp_path, capsys, value):
         csv = tmp_path / "huge.csv"

@@ -75,6 +75,26 @@ class TestScene:
         with pytest.raises(ValueError):
             Scene(np.array([70000, 0, 0, 0]), 2, 2)
 
+    @pytest.mark.parametrize(
+        "pixels",
+        [np.array([1.9, 2.5, 3, 4]), ["1", "2", "3", "4"], [1, 2, 3, 4.0]],
+        ids=["floats", "strings", "one-float"],
+    )
+    def test_rejects_non_integer_pixels(self, pixels):
+        with pytest.raises(TypeError):
+            Scene(pixels, 2, 2)
+
+    @pytest.mark.parametrize("big", [2**70, -(2**70), 2**64 - 1])
+    def test_rejects_out_of_range_pixels_of_any_size(self, big):
+        with pytest.raises(ValueError, match=r"\[0, 65535\]"):
+            Scene([big, 0, 0, 0], 2, 2)
+
+    def test_shape_errors_come_before_pixel_type_errors(self):
+        with pytest.raises(ValueError, match="powers of two"):
+            Scene(np.zeros(12), 3, 4)
+        with pytest.raises(ValueError, match="expected 16 pixels"):
+            Scene(np.zeros(8), 4, 4)
+
 
 class TestSimulate:
     def test_flat_row_measures_scene_sum(self):

@@ -193,10 +193,35 @@ def test_low_sequency_reconstruct_holds_one_output_buffer(scale, dtype):
 
 
 def test_full_sampling_reconstruct_adds_no_broadcast_copy():
-    # A window over every bit returns the coefficient buffer itself,
-    # transformed in place, with no broadcast into a further 2^n output.
+    # A window over every bit returns the buffer the transform ended in,
+    # with no broadcast into a further 2^n output.
     n = 16
     scene = Scene(np.random.default_rng(16).integers(0, 65536, size=1 << n), 256, 256)
     estimate, peak = _reconstruct_peak(simulate(scene, range(1 << n), "sequency"))
     assert np.array_equal(estimate, scene.reshaped())
     assert peak <= 3 * 8 * (1 << n) + (1 << 20)
+
+
+@pytest.mark.parametrize(
+    "transform,values",
+    [(fwht, "int"), (fwht, "float"), (ifwht, "exact"), (ifwht, "inexact"), (ifwht, "float")],
+)
+def test_transform_workspace_is_one_spare_buffer(transform, values):
+    # The widened copy of the input plus one spare buffer of the same
+    # size, with no NumPy casting or ufunc buffers on top.
+    n = 16
+    rng = np.random.default_rng(n)
+    if values == "float":
+        x = rng.standard_normal(1 << n)
+    else:
+        x = rng.integers(0, 65536, size=1 << n) << (n if values == "exact" else 0)
+    transform(x)  # warm caches before measuring
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        transform(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline <= 2 * 8 * (1 << n) + (64 << 10)

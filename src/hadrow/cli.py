@@ -24,6 +24,9 @@ import numpy as np
 from .core import (
     FULL_MATRIX_CAP,
     ORDER_CAP,
+    _INT64_MAX,
+    _INT64_MIN,
+    _check_order,
     direct_row,
     full_matrix,
     generate_row,
@@ -54,7 +57,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _SCHEME_NAMES = [scheme.value for scheme in OrderingScheme]
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 # `batch` builds and writes about this many bytes per kernel pass, at least
 # one row, so its memory stays flat in the number of rows.  Besides its
 # packed bytes, each row of a pass costs under _INDEX_WORK_BYTES of index
@@ -91,48 +93,31 @@ def _order_cap() -> int:
     return min(ORDER_CAP, value)
 
 
-def _check_cli_order(n: int) -> None:
-    cap = _order_cap()
-    if not 1 <= n <= cap:
-        raise UsageError(f"order exponent must be in [1, {cap}], got {n}")
-
-
 def _parse_indices(text: str, n: int) -> np.ndarray:
-    """Comma list of indices and half-open a..b ranges; dedup, sort, range-check.
+    """Comma list of half-open a..b ranges, a lone k short for k..k+1; dedup, sort, range-check.
 
     Every index and range bound is checked against 2^n before any range is
     expanded, so an oversized range fails at once instead of filling memory.
     The selection is a sorted int64 array, 8 bytes per selected index.
     """
     size = 1 << n
-    out_of_range = f"indices must lie in [0, {size})"
-    ranges: list[tuple[int, int]] = []
-    singles: list[int] = []
+    pieces = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             raise UsageError("empty entry in --indices")
-        if ".." in part:
-            lo_text, _, hi_text = part.partition("..")
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise UsageError(f"bad index range {part!r}") from None
-            if lo > hi:
-                raise UsageError(f"descending index range {part!r}")
-            if lo < 0 or hi > size:
-                raise UsageError(out_of_range)
-            ranges.append((lo, hi))
-        else:
-            try:
-                k = int(part)
-            except ValueError:
-                raise UsageError(f"bad index entry {part!r}") from None
-            if not 0 <= k < size:
-                raise UsageError(out_of_range)
-            singles.append(k)
-    pieces = [np.arange(lo, hi, dtype=np.int64) for lo, hi in ranges]
-    picked = np.unique(np.concatenate([np.array(singles, dtype=np.int64), *pieces]))
+        lo_text, sep, hi_text = part.partition("..")
+        try:
+            lo = int(lo_text)
+            hi = int(hi_text) if sep else lo + 1
+        except ValueError:
+            raise UsageError(f"bad index {'range' if sep else 'entry'} {part!r}") from None
+        if lo > hi:
+            raise UsageError(f"descending index range {part!r}")
+        if lo < 0 or hi > size:
+            raise UsageError(f"indices must lie in [0, {size})")
+        pieces.append(np.arange(lo, hi, dtype=np.int64))
+    picked = np.unique(np.concatenate(pieces))
     if not picked.size:
         raise UsageError("--indices selected nothing")
     return picked
@@ -150,7 +135,7 @@ def _output(path: str | None):
 
 
 def cmd_row(args) -> int:
-    _check_cli_order(args.n)
+    _check_order(args.n, _order_cap())
     scheme = OrderingScheme(args.ordering)
     natural = to_natural(args.index, args.n, scheme)
     row, counter = generate_row(natural, args.n)
@@ -166,7 +151,7 @@ def cmd_row(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    _check_cli_order(args.n)
+    _check_order(args.n, _order_cap())
     # --jobs is still validated so that old command lines keep working,
     # but one vectorized pass per chunk leaves no per-row work to share.
     if args.jobs < 1:
@@ -241,7 +226,7 @@ def _read_file_bytes(path: str) -> bytes:
 
 def cmd_simulate(args) -> int:
     scene = read_pgm(_read_file_bytes(args.image))
-    _check_cli_order(scene.n)
+    _check_order(scene.n, _order_cap())
     scheme = OrderingScheme(args.ordering)
     if args.indices is None:
         ordered = np.arange(1 << scene.n)
@@ -364,7 +349,7 @@ def cmd_reconstruct(args) -> int:
     n = args.n if args.n is not None else _meta_int(meta, "n")
     if n is None:
         raise UsageError("order exponent unknown: no CSV header and no --n")
-    _check_cli_order(n)
+    _check_order(n, _order_cap())
     if args.ordering is not None:
         scheme = OrderingScheme(args.ordering)
     else:
@@ -390,7 +375,7 @@ def cmd_reconstruct(args) -> int:
         np.rint(estimate, out=estimate)
     np.clip(estimate, 0, MAX_PIXEL, out=estimate)
     with _output(args.out) as fh:
-        fh.write(write_pgm(estimate))
+        fh.write(write_pgm(estimate.astype(np.int64, copy=False)))
     return EXIT_OK
 
 

@@ -44,6 +44,7 @@ ORDER_CAP = 30
 INDEX_BITS_CAP = 62
 # The full-matrix oracle is memory-quadratic by design.
 FULL_MATRIX_CAP = 13
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 class OrderError(ValueError):
@@ -59,26 +60,51 @@ def _check_order(n: int, cap: int) -> None:
         raise OrderError(f"order exponent must be in [1, {cap}], got {n}")
 
 
-def _check_index(i: int, n: int) -> None:
+def _integer(value, what: str) -> int:
+    """value as a Python int; TypeError for a bool (Python or NumPy) or a non-integer.
+
+    The one integer rule: row indices, index sets, measurement columns
+    and pixels all pass through it.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{what}: expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _check_index(i, n: int) -> int:
+    """Row index i as a Python int, under `_integer`'s rule and in [0, 2^n)."""
+    i = _integer(i, "row index")
     if not 0 <= i < (1 << n):
         raise IndexRangeError(f"row index {i} out of range [0, {1 << n})")
+    return i
 
 
 def _integer_array(values, what: str) -> np.ndarray:
-    """values as a flat integer array, integers of any size kept exact.
+    """values as a flat integer array under `_integer`'s rule, integers of any size kept exact.
 
-    An array of a NumPy integer dtype passes as it is; other input comes
-    back as an object array of Python ints, or raises TypeError naming
-    `what` when it holds a non-integer.
+    A NumPy integer array passes as it is, and a `range` inside int64
+    becomes an int64 array without a per-element step.  Other input is
+    checked as Python objects, so a bool among integers raises TypeError
+    as a non-integer does; it comes back as int64, or as an object array
+    of Python ints when an integer does not fit.
     """
-    arr = np.asarray(values)
-    if arr.dtype.kind in "fO":
-        # Python ints that share no 64-bit dtype arrive as object or float64.
-        values = np.asarray(values, dtype=object).flat
-        return np.array([operator.index(v) for v in values], dtype=object)
-    if arr.dtype.kind not in "iu":
-        raise TypeError(f"{what} must be integers, got dtype {arr.dtype}")
-    return arr.reshape(-1)
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.reshape(-1)
+    if isinstance(values, range):
+        bounds = (values.start, values.step, *values[-1:])
+        if _INT64_MIN <= min(bounds) and max(bounds) <= _INT64_MAX:
+            # np.arange sizes its result in floating point, len() exactly; the int64
+            # products may wrap, but every element fits, so each sum comes out exact.
+            return np.arange(len(values), dtype=np.int64) * values.step + values.start
+    flat = np.asarray(values, dtype=object).reshape(-1)
+    kinds = list(map(type, flat))
+    # `_integer` accepts or refuses a value by its type, so one element of each type decides.
+    for kind in set(kinds):
+        _integer(flat[kinds.index(kind)], what)
+    try:
+        return flat.astype(np.int64)
+    except OverflowError:  # an integer past int64, kept exact
+        return np.array([_integer(v, what) for v in flat], dtype=object)
 
 
 def _index_array(indices, n: int) -> np.ndarray:
@@ -89,10 +115,8 @@ def _index_array(indices, n: int) -> np.ndarray:
     `IndexRangeError` when out of range; non-integers give TypeError.
     """
     arr = _integer_array(indices, "row indices")
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    _check_index(int(arr.min()), n)
-    _check_index(int(arr.max()), n)
+    _check_index(int(arr.min(initial=0)), n)
+    _check_index(int(arr.max(initial=0)), n)
     return arr.astype(np.int64)
 
 
@@ -235,7 +259,7 @@ class BitString:
 def dec2bin(i: int, n: int) -> BitString:
     """n-digit binary expansion of row index i, most significant digit first."""
     _check_order(n, INDEX_BITS_CAP)
-    _check_index(i, n)
+    i = _check_index(i, n)
     return BitString(tuple((i >> (n - 1 - k)) & 1 for k in range(n)), i, n)
 
 
@@ -301,7 +325,7 @@ def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
     2^(n+1) - 2; peak working memory is the packed row plus one copy.
     """
     _check_order(n, ORDER_CAP)
-    _check_index(i, n)
+    i = _check_index(i, n)
     low = min(n, 3)
     counter = OpCounter()
     # The table stands for the first `low` levels, each charged 2 * length.
@@ -368,7 +392,7 @@ def direct_row(i: int, n: int) -> SignVector:
     can serve as oracles for each other.
     """
     _check_order(n, ORDER_CAP)
-    _check_index(i, n)
+    i = _check_index(i, n)
     size = 1 << n
     out = np.empty(size, dtype=np.int8)
     mask = np.uint64(i)

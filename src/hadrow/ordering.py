@@ -7,7 +7,6 @@ row indices, bit-reversed through one 256-entry byte table, never a 2^n one.
 from __future__ import annotations
 
 import enum
-import operator
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from .core import (
     _check_index,
     _check_order,
     _index_array,
+    _integer,
     generate_row,
 )
 
@@ -55,7 +55,7 @@ _REVERSED_BYTES = np.packbits(
 
 def bit_reverse(value: int, width: int) -> int:
     """Low `width` bits of any integer value reversed, as a Python int; ValueError if width < 0."""
-    value, width = operator.index(value), operator.index(width)
+    value, width = _integer(value, "value"), _integer(width, "bit width")
     if width < 0:
         raise ValueError(f"bit width must be nonnegative, got {width}")
     nbytes = (width + 7) // 8
@@ -72,9 +72,8 @@ def to_natural(k: int, n: int, scheme: OrderingScheme) -> int:
     rows by their number of sign changes.
     """
     scheme = OrderingScheme(scheme)
-    k = operator.index(k)
     _check_order(n, INDEX_BITS_CAP)
-    _check_index(k, n)
+    k = _check_index(k, n)
     if scheme is OrderingScheme.NATURAL:
         return k
     if scheme is OrderingScheme.DYADIC:

@@ -12,7 +12,6 @@ measured.  Scenes travel as portable graymaps (P2 or P5).
 
 from __future__ import annotations
 
-import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -61,7 +60,8 @@ def _is_pow2(value: int) -> bool:
 class Scene:
     """Row-major nonnegative integer image with power-of-two dimensions.
 
-    Pixels must be integers (TypeError otherwise) in [0, MAX_PIXEL].
+    Pixels must pass core's integer rule (TypeError for a float or a
+    bool) and lie in [0, MAX_PIXEL].
     """
 
     pixels: np.ndarray
@@ -96,17 +96,20 @@ class MeasurementSet:
     """Detector readings: (ordered index, inner product) pairs plus context.
 
     The set is stored as two columns in the order given: the indices as
-    an int64 array and the values as an int64 array (an object array of
+    an int64 array and the values as an integer array, int64 unless a
+    NumPy array of another integer dtype is handed in (an object array of
     Python ints if one does not fit in 64 bits, which `reconstruct` then
     rejects).  `entries`, the pairs as a tuple of Python ints, is built
-    from the columns each time it is read; `simulate` and `hadrow
-    reconstruct` hand their arrays straight in and never build it.
+    from the columns each time it is read; `hadrow reconstruct` hands its
+    parsed arrays straight in and `simulate` fills a zeroed value column
+    in place, so neither builds it.
 
-    Indices and values must be integers (TypeError otherwise, for a bool
-    too) and n must lie in [1, INDEX_BITS_CAP] (`OrderError`).  The
-    indices pass core's shared checks: `IndexRangeError` for one outside
-    [0, 2^n), `DuplicateIndexError` unless they strictly increase once
-    sorted.  Equality and hashing follow the entries and the context.
+    Both columns pass core's integer rule (TypeError for a non-integer or
+    a bool) and n must lie in [1, INDEX_BITS_CAP] (`OrderError`).  The
+    indices pass core's range check, `IndexRangeError` for one outside
+    [0, 2^n), and raise `DuplicateIndexError` unless they strictly
+    increase once sorted.  Equality and hashing follow the entries and
+    the context.
     """
 
     scheme: OrderingScheme
@@ -117,33 +120,34 @@ class MeasurementSet:
     _values: np.ndarray
 
     def __init__(self, entries, scheme, n: int, width: int, height: int) -> None:
-        indices, values = [], []
-        for k, y in entries:
-            indices.append(_exact_int(k))
-            values.append(_exact_int(y))
-        try:
-            column = np.array(values, dtype=np.int64)
-        except OverflowError:  # a value past int64, which reconstruct rejects
-            column = np.array(values, dtype=object)
-        self._set_columns(indices, column, scheme, n, width, height)
+        indices, values = tuple(zip(*entries)) or ((), ())
+        self._set_columns(indices, values, scheme, n, width, height)
 
     @classmethod
-    def _from_arrays(cls, indices, values: np.ndarray, scheme, n: int, width: int, height: int):
-        """A set over an index sequence and an int64 value array, checked as the constructor checks.
+    def _from_arrays(cls, indices, values, scheme, n: int, width: int, height: int):
+        """A set over an index sequence and a value array, checked as the constructor checks.
 
-        `values` is kept as it is, not copied.
+        An integer `values` array is kept as it is, not copied; None gives
+        a zeroed int64 column for the caller to fill.
         """
         measured = cls.__new__(cls)
         measured._set_columns(indices, values, scheme, n, width, height)
         return measured
 
-    def _set_columns(self, indices, values: np.ndarray, scheme, n, width, height) -> None:
+    def _set_columns(self, indices, values, scheme, n, width, height) -> None:
         object.__setattr__(self, "scheme", OrderingScheme(scheme))
         _check_order(n, INDEX_BITS_CAP)
         if width < 1 or height < 1 or width * height != 1 << n:
             raise ValueError(f"sides must be >= 1 with width*height = 2^{n}, got {width}x{height}")
-        object.__setattr__(self, "_indices", _distinct_indices(indices, n))
-        object.__setattr__(self, "_values", values)
+        ks = _index_array(indices, n)
+        ordered = np.sort(ks)
+        t = _first_not_increasing(ordered)
+        if t is not None:
+            raise DuplicateIndexError(f"ordered index {ordered[t]} measured twice")
+        if values is None:
+            values = np.zeros(ks.size, dtype=np.int64)
+        object.__setattr__(self, "_indices", ks)
+        object.__setattr__(self, "_values", _integer_array(values, "measurement values"))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
@@ -176,34 +180,14 @@ class MeasurementSet:
         )
 
 
-def _exact_int(value) -> int:
-    """value as a Python int: TypeError for a bool or a non-integer."""
-    if isinstance(value, bool):
-        raise TypeError(f"measurement indices and values must be integers, got {value!r}")
-    return operator.index(value)
-
-
-def _distinct_indices(indices, n: int) -> np.ndarray:
-    """Indices as a fresh int64 array in their given order, all checked.
-
-    Core's `_index_array` raises TypeError for a non-integer and
-    `IndexRangeError` for an index outside [0, 2^n); a repeated index
-    raises `DuplicateIndexError`.
-    """
-    ks = _index_array(indices, n)
-    ordered = np.sort(ks)
-    t = _first_not_increasing(ordered)
-    if t is not None:
-        raise DuplicateIndexError(f"ordered index {ordered[t]} measured twice")
-    return ks
-
-
 def simulate(scene: Scene, indices, scheme=OrderingScheme.NATURAL) -> MeasurementSet:
     """Measure `scene` at the given ordered indices, keeping their order.
 
     y_k is the inner product of ordered row k with the flattened scene.
-    `indices` may be any iterable of integers; the whole set is checked
-    before any row is measured (see `MeasurementSet` for the errors).
+    `indices` may be any iterable of integers.  The returned set is built
+    first, which checks the whole index set once, before any row is
+    measured (see `MeasurementSet` for the errors); its zeroed value
+    column is then filled in place.
 
     For an order-2^n scene, fewer than n indices stream one generated row
     each, as the detector sees them: every row is built, dotted with the
@@ -215,23 +199,20 @@ def simulate(scene: Scene, indices, scheme=OrderingScheme.NATURAL) -> Measuremen
     int64 arrays (the transformed copy of the scene and the transform's
     own buffer), the size of the scene's own pixels twice over.
 
-    Either way the values land in one int64 array, which the returned set
-    keeps as its value column beside the checked index array; no
-    per-entry Python object is made.
+    Either way no per-entry Python object is made.
     """
-    scheme = OrderingScheme(scheme)
     if not isinstance(indices, (Sequence, np.ndarray)):
         indices = list(indices)  # numpy makes a 0-d object array of a generator
-    ks = _distinct_indices(indices, scene.n)
-    naturals = to_natural_array(ks, scene.n, scheme)
-    if ks.size >= scene.n:
-        values = fwht(scene.pixels).coefficients[naturals]
+    measured = MeasurementSet._from_arrays(indices, None, scheme, scene.n, scene.width, scene.height)
+    naturals = to_natural_array(measured._indices, scene.n, measured.scheme)
+    values = measured._values
+    if values.size >= scene.n:
+        np.take(fwht(scene.pixels).coefficients, naturals, out=values)
     else:
-        values = np.zeros(ks.size, dtype=np.int64)
         for slot, natural in enumerate(naturals.tolist()):
             row, _ = generate_row(natural, scene.n)
             values[slot] = row.to_numpy().astype(np.int64) @ scene.pixels
-    return MeasurementSet._from_arrays(ks, values, scheme, scene.n, scene.width, scene.height)
+    return measured
 
 
 def reconstruct(measurements: MeasurementSet) -> np.ndarray:
@@ -356,14 +337,18 @@ def read_pgm(data: bytes) -> Scene:
 
 
 def write_pgm(image, maxval: int | None = None, binary: bool = True) -> bytes:
-    """Encode a Scene or (height, width) array as P5 (binary) or P2 (text)."""
+    """Encode a Scene or (height, width) array as P5 (binary) or P2 (text).
+
+    Pixels pass core's integer rule: TypeError for a float or a bool, so
+    round and cast an estimate first.  An integer array is read as it is.
+    """
     if isinstance(image, Scene):
         arr = image.reshaped()
     else:
-        arr = np.asarray(image)
-        if arr.ndim != 2:
+        shape = np.shape(image)
+        if len(shape) != 2:
             raise ValueError("image must be a Scene or a 2-d array")
-    arr = np.asarray(arr, dtype=np.int64)
+        arr = _integer_array(image, "pixels").reshape(shape)
     lowest, highest = int(arr.min(initial=0)), int(arr.max(initial=0))
     if lowest < 0:
         raise ValueError("pixels must be nonnegative")

@@ -166,6 +166,47 @@ class TestBatch:
         assert "indices must lie in [0, 16)" in capsys.readouterr().err
 
 
+def _spec_model(text, n):
+    """Reference model of `--indices`: the sorted indices a spec selects, None if invalid.
+
+    A part is a lone index k, which selects k, or a..b, which selects
+    a..b-1; every bound must lie in [0, 2^n] with a <= b (and k < 2^n),
+    and the whole spec must select something.
+    """
+    chosen = set()
+    for part in text.split(","):
+        bounds = part.strip().split("..", 1)
+        try:
+            lo, hi = (int(bounds[0]), int(bounds[0]) + 1) if len(bounds) == 1 else map(int, bounds)
+        except ValueError:
+            return None
+        if not 0 <= lo <= hi <= 1 << n:
+            return None
+        chosen.update(range(lo, hi))
+    return sorted(chosen) or None
+
+
+_SPEC_PART = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.tuples(st.integers(-3, 40), st.integers(-3, 40)).map(lambda pair: "%d..%d" % pair),
+    st.text(alphabet="0123456789.,-+_ x", max_size=8),
+)
+
+
+class TestIndexSpec:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_SPEC_PART, min_size=1, max_size=5).map(",".join), st.integers(1, 5))
+    def test_parse_matches_the_reference_model(self, spec, n):
+        expected = _spec_model(spec, n)
+        if expected is None:
+            with pytest.raises(cli.UsageError):
+                cli._parse_indices(spec, n)
+        else:
+            picked = cli._parse_indices(spec, n)
+            assert picked.dtype == np.int64
+            assert picked.tolist() == expected
+
+
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
         assert run("verify", "--n-max", "6") == 0

@@ -17,6 +17,7 @@ from hadrow import (
     OpCounter,
     OrderError,
     SignVector,
+    bit_reverse,
     dec2bin,
     direct_row,
     full_matrix,
@@ -30,6 +31,7 @@ from hadrow import (
     to_natural_array,
     write_patterns,
 )
+from hadrow.core import _integer_array
 
 # Row 6 of the order-16 matrix, cross-checked against both oracles below.
 GOLDEN_ROW_6_N4 = [1, 1, -1, -1, -1, -1, 1, 1, 1, 1, -1, -1, -1, -1, 1, 1]
@@ -360,6 +362,36 @@ def test_indices_beyond_64_bits_are_out_of_range(caller, ks):
     # Python ints that fit no 64-bit dtype reach the one shared range check.
     with pytest.raises(IndexRangeError):
         INDEX_SET_CALLERS[caller](ks)
+
+
+@pytest.mark.parametrize("caller", list(INDEX_SET_CALLERS))
+@pytest.mark.parametrize("ks", [[0, True], [np.True_, 1]], ids=["True", "np.True_"])
+def test_bool_among_indices_is_rejected(caller, ks):
+    # NumPy alone would read either list as an int64 array of rows.
+    with pytest.raises(TypeError):
+        INDEX_SET_CALLERS[caller](ks)
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [generate_row, direct_row, dec2bin, lambda i, n: to_natural(i, n, "dyadic"), bit_reverse],
+    ids=["generate_row", "direct_row", "dec2bin", "to_natural", "bit_reverse"],
+)
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["True", "np.True_"])
+def test_scalar_index_rejects_bool(caller, flag):
+    with pytest.raises(TypeError):
+        caller(flag, 3)
+
+
+@given(
+    st.integers(-(2**64), 2**64),
+    st.integers(0, 40),
+    st.integers(-(2**64), 2**64).filter(bool),
+)
+def test_range_indices_come_out_exact(start, count, step):
+    # np.arange sizes a range in floating point, which loses elements of long steps.
+    r = range(start, start + count * step, step)
+    assert _integer_array(r, "row indices").tolist() == list(r)
 
 
 class TestDirectRow:

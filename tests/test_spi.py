@@ -77,8 +77,8 @@ class TestScene:
 
     @pytest.mark.parametrize(
         "pixels",
-        [np.array([1.9, 2.5, 3, 4]), ["1", "2", "3", "4"], [1, 2, 3, 4.0]],
-        ids=["floats", "strings", "one-float"],
+        [np.array([1.9, 2.5, 3, 4]), ["1", "2", "3", "4"], [1, 2, 3, 4.0], [1, True, 3, 4]],
+        ids=["floats", "strings", "one-float", "one-bool"],
     )
     def test_rejects_non_integer_pixels(self, pixels):
         with pytest.raises(TypeError):
@@ -175,7 +175,8 @@ class TestSimulatePaths:
     @pytest.mark.parametrize("count", [3, 4])
     @pytest.mark.parametrize(
         "bad,error",
-        [(1.9, TypeError), (16, IndexRangeError), (-1, IndexRangeError), (2, DuplicateIndexError)],
+        [(1.9, TypeError), (True, TypeError), (np.True_, TypeError), (16, IndexRangeError),
+         (-1, IndexRangeError), (2, DuplicateIndexError)],
     )
     def test_bad_index_fails_alike_on_both_paths(self, count, bad, error):
         scene = Scene(np.arange(16), 4, 4)
@@ -430,6 +431,15 @@ class TestPgm:
         assert data.startswith(b"P5\n8 8\n65535\n")
         again = read_pgm(data)
         assert np.array_equal(again.pixels, scene.pixels)
+
+    @pytest.mark.parametrize(
+        "image",
+        [np.array([[1.7, 2.9]]), np.array([[True, False]]), [[1, True]]],
+        ids=["floats", "bools", "one-bool"],
+    )
+    def test_write_rejects_non_integer_pixels(self, image):
+        with pytest.raises(TypeError):
+            write_pgm(image)
 
     def test_text_round_trip(self):
         scene = Scene(np.arange(16), 4, 4)

@@ -24,8 +24,6 @@ import numpy as np
 from .core import (
     FULL_MATRIX_CAP,
     ORDER_CAP,
-    _INT64_MAX,
-    _INT64_MIN,
     _check_order,
     direct_row,
     full_matrix,
@@ -57,6 +55,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _SCHEME_NAMES = [scheme.value for scheme in OrderingScheme]
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 # `batch` builds and writes about this many bytes per kernel pass, at least
 # one row, so its memory stays flat in the number of rows.  Besides its
 # packed bytes, each row of a pass costs under _INDEX_WORK_BYTES of index

@@ -44,7 +44,6 @@ ORDER_CAP = 30
 INDEX_BITS_CAP = 62
 # The full-matrix oracle is memory-quadratic by design.
 FULL_MATRIX_CAP = 13
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 class OrderError(ValueError):
@@ -55,25 +54,24 @@ class IndexRangeError(ValueError):
     """Row index outside [0, 2^n)."""
 
 
-def _check_order(n: int, cap: int) -> None:
+def _check_order(n, cap: int) -> int:
+    """Order exponent n as a Python int, under `_integer`'s rule and in [1, cap]."""
+    n = _integer(n, "order exponents")
     if not 1 <= n <= cap:
         raise OrderError(f"order exponent must be in [1, {cap}], got {n}")
+    return n
 
 
 def _integer(value, what: str) -> int:
-    """value as a Python int; TypeError for a bool (Python or NumPy) or a non-integer.
-
-    The one integer rule: row indices, index sets, measurement columns
-    and pixels all pass through it.
-    """
+    """The one integer rule: value as a Python int, TypeError for a bool or a non-integer."""
     if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{what}: expected an integer, got {value!r}")
+        raise TypeError(f"{what} must be integers, got {value!r}")
     return operator.index(value)
 
 
 def _check_index(i, n: int) -> int:
     """Row index i as a Python int, under `_integer`'s rule and in [0, 2^n)."""
-    i = _integer(i, "row index")
+    i = _integer(i, "row indices")
     if not 0 <= i < (1 << n):
         raise IndexRangeError(f"row index {i} out of range [0, {1 << n})")
     return i
@@ -82,20 +80,17 @@ def _check_index(i, n: int) -> int:
 def _integer_array(values, what: str) -> np.ndarray:
     """values as a flat integer array under `_integer`'s rule, integers of any size kept exact.
 
-    A NumPy integer array passes as it is, and a `range` inside int64
-    becomes an int64 array without a per-element step.  Other input is
-    checked as Python objects, so a bool among integers raises TypeError
-    as a non-integer does; it comes back as int64, or as an object array
-    of Python ints when an integer does not fit.
+    A NumPy integer array, or a `range` once NumPy converts it, passes as
+    it is.  Other input is checked as Python objects, so a bool among ints
+    fails as a non-integer does; it comes back as int64, or as Python ints
+    when one does not fit.
     """
+    if isinstance(values, range):
+        values = np.asarray(values)  # a range holds no bool
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values.reshape(-1)
-    if isinstance(values, range):
-        bounds = (values.start, values.step, *values[-1:])
-        if _INT64_MIN <= min(bounds) and max(bounds) <= _INT64_MAX:
-            # np.arange sizes its result in floating point, len() exactly; the int64
-            # products may wrap, but every element fits, so each sum comes out exact.
-            return np.arange(len(values), dtype=np.int64) * values.step + values.start
+    if isinstance(values, np.ndarray) and values.dtype.kind not in "fO":
+        raise TypeError(f"{what} must be integers, got dtype {values.dtype}")
     flat = np.asarray(values, dtype=object).reshape(-1)
     kinds = list(map(type, flat))
     # `_integer` accepts or refuses a value by its type, so one element of each type decides.
@@ -115,8 +110,9 @@ def _index_array(indices, n: int) -> np.ndarray:
     `IndexRangeError` when out of range; non-integers give TypeError.
     """
     arr = _integer_array(indices, "row indices")
-    _check_index(int(arr.min(initial=0)), n)
-    _check_index(int(arr.max(initial=0)), n)
+    if arr.size:
+        _check_index(int(arr.min()), n)
+        _check_index(int(arr.max()), n)
     return arr.astype(np.int64)
 
 
@@ -258,7 +254,7 @@ class BitString:
 
 def dec2bin(i: int, n: int) -> BitString:
     """n-digit binary expansion of row index i, most significant digit first."""
-    _check_order(n, INDEX_BITS_CAP)
+    n = _check_order(n, INDEX_BITS_CAP)
     i = _check_index(i, n)
     return BitString(tuple((i >> (n - 1 - k)) & 1 for k in range(n)), i, n)
 
@@ -324,7 +320,7 @@ def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
     product with [1, 1] or [1, -1].  The returned counter always reads
     2^(n+1) - 2; peak working memory is the packed row plus one copy.
     """
-    _check_order(n, ORDER_CAP)
+    n = _check_order(n, ORDER_CAP)
     i = _check_index(i, n)
     low = min(n, 3)
     counter = OpCounter()
@@ -359,7 +355,7 @@ def generate_rows(naturals, n: int) -> tuple[np.ndarray, OpCounter]:
     index per row, so a caller bounds it by how many rows it asks for at
     once.
     """
-    _check_order(n, ORDER_CAP)
+    n = _check_order(n, ORDER_CAP)
     naturals = _index_array(naturals, n)
     count = naturals.size
     low = min(n, 3)
@@ -391,7 +387,7 @@ def direct_row(i: int, n: int) -> SignVector:
     code path with the Kronecker accumulation, so the two implementations
     can serve as oracles for each other.
     """
-    _check_order(n, ORDER_CAP)
+    n = _check_order(n, ORDER_CAP)
     i = _check_index(i, n)
     size = 1 << n
     out = np.empty(size, dtype=np.int8)
@@ -410,7 +406,7 @@ def full_matrix(n: int) -> list[SignVector]:
     Memory-quadratic by construction and capped at desk scale: it exists
     only to cross-check the row generator, never for production use.
     """
-    _check_order(n, FULL_MATRIX_CAP)
+    n = _check_order(n, FULL_MATRIX_CAP)
     h = np.ones((1, 1), dtype=np.int8)
     for _ in range(n):
         h = np.block([[h, h], [h, -h]])
@@ -421,5 +417,5 @@ def full_matrix(n: int) -> list[SignVector]:
 
 def predicted_cost(n: int) -> int:
     """Exact number of scalar multiplications one row generation performs."""
-    _check_order(n, INDEX_BITS_CAP)
+    n = _check_order(n, INDEX_BITS_CAP)
     return (1 << (n + 1)) - 2

@@ -83,7 +83,7 @@ class PatternWriter:
 
     def __init__(self, stream, indices, n: int, scheme: OrderingScheme) -> None:
         scheme = OrderingScheme(scheme)
-        _check_order(n, INDEX_BITS_CAP)
+        n = _check_order(n, INDEX_BITS_CAP)
         indices = _index_array(indices, n)
         t = _first_not_increasing(indices)
         if t is not None:
@@ -123,7 +123,7 @@ def write_patterns(
     each zero padded to a byte boundary.  The bytes are the ones a
     `PatternWriter` streams for the same rows, and it checks the indices.
     """
-    _check_order(n, INDEX_BITS_CAP)
+    n = _check_order(n, INDEX_BITS_CAP)
     rows = list(rows)
     for _, row in rows:
         if len(row) != 1 << n:

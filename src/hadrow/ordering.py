@@ -55,7 +55,7 @@ _REVERSED_BYTES = np.packbits(
 
 def bit_reverse(value: int, width: int) -> int:
     """Low `width` bits of any integer value reversed, as a Python int; ValueError if width < 0."""
-    value, width = _integer(value, "value"), _integer(width, "bit width")
+    value, width = _integer(value, "values"), _integer(width, "bit widths")
     if width < 0:
         raise ValueError(f"bit width must be nonnegative, got {width}")
     nbytes = (width + 7) // 8
@@ -72,7 +72,7 @@ def to_natural(k: int, n: int, scheme: OrderingScheme) -> int:
     rows by their number of sign changes.
     """
     scheme = OrderingScheme(scheme)
-    _check_order(n, INDEX_BITS_CAP)
+    n = _check_order(n, INDEX_BITS_CAP)
     k = _check_index(k, n)
     if scheme is OrderingScheme.NATURAL:
         return k
@@ -90,7 +90,7 @@ def to_natural_array(ks, n: int, scheme: OrderingScheme) -> np.ndarray:
     Every position is checked against [0, 2^n) first, with `to_natural`'s error.
     """
     scheme = OrderingScheme(scheme)
-    _check_order(n, INDEX_BITS_CAP)
+    n = _check_order(n, INDEX_BITS_CAP)
     ks = _index_array(ks, n)
     if scheme is OrderingScheme.NATURAL:
         return ks

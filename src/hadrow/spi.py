@@ -96,20 +96,18 @@ class MeasurementSet:
     """Detector readings: (ordered index, inner product) pairs plus context.
 
     The set is stored as two columns in the order given: the indices as
-    an int64 array and the values as an integer array, int64 unless a
-    NumPy array of another integer dtype is handed in (an object array of
+    an int64 array and the values as an int64 array (an object array of
     Python ints if one does not fit in 64 bits, which `reconstruct` then
     rejects).  `entries`, the pairs as a tuple of Python ints, is built
-    from the columns each time it is read; `hadrow reconstruct` hands its
-    parsed arrays straight in and `simulate` fills a zeroed value column
-    in place, so neither builds it.
+    from the columns each time it is read; `simulate` and `hadrow
+    reconstruct` hand their arrays straight in and never build it.
 
-    Both columns pass core's integer rule (TypeError for a non-integer or
-    a bool) and n must lie in [1, INDEX_BITS_CAP] (`OrderError`).  The
-    indices pass core's range check, `IndexRangeError` for one outside
-    [0, 2^n), and raise `DuplicateIndexError` unless they strictly
-    increase once sorted.  Equality and hashing follow the entries and
-    the context.
+    Each entry must be one (index, value) pair (ValueError otherwise),
+    both under core's integer rule (TypeError for a non-integer, a bool or
+    a sequence), and n must lie in [1, INDEX_BITS_CAP] (`OrderError`).
+    The indices pass core's shared checks: `IndexRangeError` for one
+    outside [0, 2^n), `DuplicateIndexError` unless they strictly increase
+    once sorted.  Equality and hashing follow the entries and the context.
     """
 
     scheme: OrderingScheme
@@ -120,7 +118,16 @@ class MeasurementSet:
     _values: np.ndarray
 
     def __init__(self, entries, scheme, n: int, width: int, height: int) -> None:
-        indices, values = tuple(zip(*entries)) or ((), ())
+        indices, values = [], []
+        for k, y in entries:  # ValueError unless every entry is one (index, value) pair
+            indices.append(k)
+            values.append(y)
+        # Object columns hold a nested index or value whole, for the integer rule to
+        # refuse; NumPy would flatten it into the column.
+        indices, values = (
+            _integer_array(np.fromiter(column, dtype=object), "measurement indices and values")
+            for column in (indices, values)
+        )
         self._set_columns(indices, values, scheme, n, width, height)
 
     @classmethod
@@ -136,7 +143,7 @@ class MeasurementSet:
 
     def _set_columns(self, indices, values, scheme, n, width, height) -> None:
         object.__setattr__(self, "scheme", OrderingScheme(scheme))
-        _check_order(n, INDEX_BITS_CAP)
+        n = _check_order(n, INDEX_BITS_CAP)
         if width < 1 or height < 1 or width * height != 1 << n:
             raise ValueError(f"sides must be >= 1 with width*height = 2^{n}, got {width}x{height}")
         ks = _index_array(indices, n)
@@ -146,8 +153,10 @@ class MeasurementSet:
             raise DuplicateIndexError(f"ordered index {ordered[t]} measured twice")
         if values is None:
             values = np.zeros(ks.size, dtype=np.int64)
+        if values.size != ks.size:
+            raise ValueError(f"{ks.size} measurement indices but {values.size} values")
         object.__setattr__(self, "_indices", ks)
-        object.__setattr__(self, "_values", _integer_array(values, "measurement values"))
+        object.__setattr__(self, "_values", values)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)

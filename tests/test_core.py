@@ -31,7 +31,6 @@ from hadrow import (
     to_natural_array,
     write_patterns,
 )
-from hadrow.core import _integer_array
 
 # Row 6 of the order-16 matrix, cross-checked against both oracles below.
 GOLDEN_ROW_6_N4 = [1, 1, -1, -1, -1, -1, 1, 1, 1, 1, -1, -1, -1, -1, 1, 1]
@@ -355,6 +354,12 @@ INDEX_SET_CALLERS = {
 
 
 @pytest.mark.parametrize("caller", list(INDEX_SET_CALLERS))
+def test_lowest_index_out_of_range_is_reported(caller):
+    with pytest.raises(IndexRangeError, match=r"row index 17 out of range \[0, 16\)"):
+        INDEX_SET_CALLERS[caller]([20, 17])
+
+
+@pytest.mark.parametrize("caller", list(INDEX_SET_CALLERS))
 @pytest.mark.parametrize(
     "ks", [[2**70], [0, -(2**70)], [0, 2**64], [-1, 2**63]], ids=["2^70", "-2^70", "2^64", "-1,2^63"]
 )
@@ -383,15 +388,32 @@ def test_scalar_index_rejects_bool(caller, flag):
         caller(flag, 3)
 
 
-@given(
-    st.integers(-(2**64), 2**64),
-    st.integers(0, 40),
-    st.integers(-(2**64), 2**64).filter(bool),
-)
-def test_range_indices_come_out_exact(start, count, step):
-    # np.arange sizes a range in floating point, which loses elements of long steps.
-    r = range(start, start + count * step, step)
-    assert _integer_array(r, "row indices").tolist() == list(r)
+ORDER_CALLERS = {
+    "generate_row": lambda n: generate_row(1, n),
+    "generate_rows": lambda n: generate_rows([1], n),
+    "direct_row": lambda n: direct_row(1, n),
+    "dec2bin": lambda n: dec2bin(1, n),
+    "full_matrix": full_matrix,
+    "predicted_cost": predicted_cost,
+    "to_natural": lambda n: to_natural(1, n, "dyadic"),
+    "to_natural_array": lambda n: to_natural_array([1], n, "sequency"),
+    "PatternWriter": lambda n: PatternWriter(io.BytesIO(), [1], n, "natural"),
+    "write_patterns": lambda n: write_patterns([], n, "natural"),
+    "MeasurementSet": lambda n: MeasurementSet(((1, 0),), "natural", n, 2, 1),
+}
+
+
+@pytest.mark.parametrize("caller", list(ORDER_CALLERS))
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["True", "np.True_"])
+def test_order_exponent_rejects_bool(caller, flag):
+    # 1 <= True <= cap holds, so without the integer rule True reads as order 2^1.
+    with pytest.raises(TypeError):
+        ORDER_CALLERS[caller](flag)
+
+
+@pytest.mark.parametrize("caller", list(ORDER_CALLERS))
+def test_order_exponent_accepts_numpy_integers(caller):
+    ORDER_CALLERS[caller](np.int64(1))
 
 
 class TestDirectRow:

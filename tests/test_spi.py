@@ -322,6 +322,24 @@ class TestReconstruct:
         with pytest.raises(TypeError):
             MeasurementSet(entries, OrderingScheme.NATURAL, 2, 2, 2)
 
+    @pytest.mark.parametrize("entries", [((0, 5), (1, 6), (2, 7, 99)), ((0, 5), (1,)), ((0, 5), ())])
+    def test_entry_not_a_pair_rejected(self, entries):
+        with pytest.raises(ValueError):
+            MeasurementSet(entries, OrderingScheme.NATURAL, 2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [(([0, 1], 5),), ((0, [5, 6]),), (([0, 1], [5, 6]),), ((0, 5), (np.array([1, 2]), 6))],
+    )
+    def test_sequence_in_place_of_an_integer_rejected(self, entries):
+        # NumPy would flatten the sequence into the column beside the others.
+        with pytest.raises(TypeError):
+            MeasurementSet(entries, OrderingScheme.NATURAL, 2, 2, 2)
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            MeasurementSet._from_arrays([0, 1], np.array([5]), "natural", 2, 2, 2)
+
     def test_equality_and_hash_follow_the_entries(self):
         scene = Scene(np.arange(16), 4, 4)
         measured = simulate(scene, [3, 0, 9], "dyadic")

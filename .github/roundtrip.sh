@@ -1,28 +1,42 @@
 #!/usr/bin/env bash
 # Round trips through the installed `hadrow` command: simulate each scene,
-# reconstruct it from the measurement CSV, and compare the PGM bytes.
+# reconstruct it from the measurement CSV, and compare the PGM bytes with
+# the scene written as P5.
 #
 #   .github/roundtrip.sh DIR    (scratch files go to DIR)
 #
-# Cases: 16x16 at full sequency sampling; 32x16 dyadic, whose odd order
-# (n = 9) leaves the transform's result in its spare buffer; 16x16 at
-# partial sampling, 128 plus 5 times sequency row 5, whose whole spectrum
-# lies in sequency 0..15, so reconstruct works over the measured index
-# bits; 256x256, whose 65536 plain CSV lines take the vectorized parse.
+# Cases: 16x16 at full sequency sampling; 32x16 dyadic, an odd order
+# (n = 9); 16x16 at partial sampling, 128 plus 5 times sequency row 5,
+# whose whole spectrum lies in sequency 0..15, so reconstruct works over
+# the measured index bits; 256x256, whose 65536 plain CSV lines take the
+# vectorized parse; 16x16 read from a P2 file with a comment after maxval,
+# a comment at each row end and CRLF line breaks.  Reconstruct's
+# workspace peaks at the window of measured index bits plus its one 2^n
+# output buffer, at every sampling.
 set -euo pipefail
 dir=$1
 while read -r name width height ordering flags; do
   python3 -c 'import random, sys
+from pathlib import Path
 from hadrow import direct_row, to_natural
-name, width, height = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+dir, name, width, height = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 if name == "low":
     row = direct_row(to_natural(5, 8, "sequency"), 8).to_numpy().tolist()
     raster = bytes(128 + 5 * s for s in row)
 else:
-    raster = random.Random({"scene": 1, "odd": 9, "big": 16}[name]).randbytes(width * height)
-sys.stdout.buffer.write(b"P5\n%d %d\n255\n" % (width, height) + raster)' "$name" "$width" "$height" > "$dir/$name.pgm"
+    seed = {"scene": 1, "odd": 9, "big": 16, "text": 2}[name]
+    raster = random.Random(seed).randbytes(width * height)
+scene = b"P5\n%d %d\n255\n" % (width, height) + raster
+if name == "text":
+    rows = (raster[y * width : (y + 1) * width] for y in range(height))
+    lines = (" ".join(map(str, row)) + " # row %d\r\n" % y for y, row in enumerate(rows))
+    image = b"P2\r\n%d %d\r\n255 # maxval\r\n" % (width, height) + "".join(lines).encode()
+else:
+    image = scene
+Path(dir, name + ".pgm").write_bytes(scene)
+Path(dir, name + "-in.pgm").write_bytes(image)' "$dir" "$name" "$width" "$height"
   # $flags is unquoted on purpose: it holds zero or more separate arguments.
-  hadrow simulate --image "$dir/$name.pgm" --ordering "$ordering" $flags --out "$dir/$name.csv"
+  hadrow simulate --image "$dir/$name-in.pgm" --ordering "$ordering" $flags --out "$dir/$name.csv"
   hadrow reconstruct --measurements "$dir/$name.csv" --out "$dir/$name-estimate.pgm"
   cmp "$dir/$name.pgm" "$dir/$name-estimate.pgm"
   echo "$name: $width x $height $ordering $flags round trip matches"
@@ -31,4 +45,5 @@ scene 16 16 sequency
 odd 32 16 dyadic
 low 16 16 sequency --indices 0..16
 big 256 256 sequency
+text 16 16 sequency
 CASES

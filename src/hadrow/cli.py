@@ -459,8 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reconstruct",
         help="invert a measurement CSV back to a PGM: w*2^w additions over the w natural "
-        "index bits the measurements use, then one 2^n write into the output buffer "
-        "(a spare 2^n transform buffer only when they span every bit)",
+        "index bits the measurements use, then one 2^n write into one output buffer; "
+        "the workspace peaks at that window plus the output",
     )
     p.add_argument(
         "--measurements",

@@ -238,9 +238,9 @@ def reconstruct(measurements: MeasurementSet) -> np.ndarray:
     factorization H_(2^n) = H_(2^(n-h)) (x) H_(2^w) (x) H_(2^l) turns the
     estimate into the window's own inverse transform, repeated 2^l times
     per entry and 2^(n-h) times over: w*2^w additions, then one write of
-    the 2^n result.  The workspace is that one output buffer.  Only a
-    window spanning every bit needs the transform's spare 2^n buffer; its
-    result is whichever of the two buffers the transform ended in.
+    the 2^n result into one fresh output.  The workspace peaks at the
+    window plus that output, 2^w + 2^n entries (two 2^n buffers at full
+    sampling); the transform's spare buffer is window-sized.
     Each int64 transform intermediate is a signed subset sum of the values,
     so values whose magnitudes sum past 2^63 - 1 raise ValueError up front
     (a real scene sums to at most 2^(3n/2) * 65535).
@@ -248,8 +248,6 @@ def reconstruct(measurements: MeasurementSet) -> np.ndarray:
     n = measurements.n
     low, window = _natural_coefficients(measurements)
     window = _divided(_fwht(window), n)
-    if window.size == 1 << n:
-        return window.reshape(measurements.height, measurements.width)
     out = np.empty(1 << n, dtype=window.dtype)
     out.reshape(-1, window.size, 1 << low)[...] = window[None, :, None]
     return out.reshape(measurements.height, measurements.width)
@@ -281,6 +279,8 @@ def _natural_coefficients(measurements: MeasurementSet) -> tuple[int, np.ndarray
 
 # A comment where a token could start, else a token up to the next whitespace.
 _PGM_TOKEN = re.compile(rb"#[^\n]*|([^\s#]\S*)")
+# A comment where a token could start: a '#' with no non-space just before it.
+_PGM_COMMENT = re.compile(rb"#(?<!\S#)[^\n]*")
 
 
 def _pgm_tokens(data: bytes, start: int, count: int) -> tuple[list[bytes], int]:
@@ -325,13 +325,10 @@ def read_pgm(data: bytes) -> Scene:
         dtype = ">u2" if bytes_per == 2 else np.uint8
         values = np.frombuffer(raster, dtype=dtype).astype(np.int64)
     else:
-        if data.find(b"#", pos) < 0:  # no comments: one split finds every sample
-            sample_tokens = data[pos:].split()
-            if len(sample_tokens) < count:
-                raise PgmError("truncated graymap header")
-            del sample_tokens[count:]
-        else:
-            sample_tokens, _ = _pgm_tokens(data, pos, count)
+        sample_tokens = _PGM_COMMENT.sub(b"", data[pos:]).split()
+        if len(sample_tokens) < count:
+            raise PgmError("truncated graymap raster")
+        del sample_tokens[count:]
         try:
             values = np.array([int(t) for t in sample_tokens], dtype=np.int64)
         except ValueError:
@@ -350,15 +347,15 @@ def write_pgm(image, maxval: int | None = None, binary: bool = True) -> bytes:
 
     Pixels pass core's integer rule: TypeError for a float or a bool, so
     round and cast an estimate first.  An integer array is read as it is.
+    An empty image raises ValueError: no graymap has a zero side.
     """
     if isinstance(image, Scene):
-        arr = image.reshaped()
-    else:
-        shape = np.shape(image)
-        if len(shape) != 2:
-            raise ValueError("image must be a Scene or a 2-d array")
-        arr = _integer_array(image, "pixels").reshape(shape)
-    lowest, highest = int(arr.min(initial=0)), int(arr.max(initial=0))
+        image = image.reshaped()
+    shape = np.shape(image)
+    if len(shape) != 2 or 0 in shape:
+        raise ValueError(f"image must be a Scene or a nonempty 2-d array, got shape {shape}")
+    arr = _integer_array(image, "pixels").reshape(shape)
+    lowest, highest = int(arr.min()), int(arr.max())
     if lowest < 0:
         raise ValueError("pixels must be nonnegative")
     if maxval is None:

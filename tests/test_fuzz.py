@@ -3,7 +3,8 @@
 Arbitrary bytes and near-valid inputs (valid files with bytes changed,
 inserted, deleted or cut off) go to `read_pgm`, `read_patterns` and the
 measurement CSV reader.  A header that claims far more data than the
-input holds must fail before any work that scales with the claim.
+input holds must fail before any work that scales with the claim.  Text
+graymaps are also checked against a reference tokenizer written here.
 """
 
 import time
@@ -77,6 +78,74 @@ def test_read_pgm_raises_only_its_documented_errors(data):
         pass
     except ValueError as exc:  # the Scene's own dimension check
         assert type(exc) is ValueError and "powers of two" in str(exc), exc
+
+
+def _reference_tokens(text: bytes) -> list[bytes]:
+    """Whitespace-separated tokens, one byte at a time.
+
+    A '#' opens a comment only where a token could start, and the
+    comment runs up to the next newline.
+    """
+    tokens, token, in_comment = [], b"", False
+    for byte in text:
+        char = bytes([byte])
+        if in_comment:
+            in_comment = char != b"\n"
+        elif char.isspace():
+            if token:
+                tokens.append(token)
+            token = b""
+        elif char == b"#" and not token:
+            in_comment = True
+        else:
+            token += char
+    if token:
+        tokens.append(token)
+    return tokens
+
+
+def _reference_read(data: bytes):
+    """The pixels of a P2 file of power-of-two sides, or its PgmError message."""
+    tokens = _reference_tokens(data[2:])
+    header, samples = tokens[:3], tokens[3:]
+    if not all(field.isdigit() for field in header):
+        return "non-numeric graymap header field"
+    width, height, maxval = map(int, header)
+    if not 0 < maxval <= 65535:
+        return f"maxval must be in [1, 65535], got {maxval}"
+    samples = samples[: width * height]
+    if len(samples) < width * height:
+        return "truncated graymap raster"
+    if not all(sample.isdigit() for sample in samples):
+        return "non-numeric sample in text graymap"
+    values = list(map(int, samples))
+    if max(values) >= 1 << 63:
+        return "text graymap sample does not fit in 64 bits"
+    if max(values) > maxval:
+        return "sample exceeds declared maxval"
+    return values
+
+
+# Digits, letters, '#' and every whitespace byte, whitespace weighted up so
+# that many files reach the raster.  A raster may start right after the
+# maxval token, and then a digit or letter joins that token.
+_P2_PIECES = [b"0", b"7", b"25", b"99999999999999999999", b"a", b"Z", b"#"]
+_P2_PIECES += [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n"] * 3
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.sampled_from([(1, 1), (2, 1), (2, 2), (4, 2)]),
+    st.sampled_from([b"9", b"255", b"65535"]),
+    st.lists(st.sampled_from(_P2_PIECES), min_size=16, max_size=60).map(b"".join),
+)
+def test_read_pgm_splits_text_rasters_like_the_reference_tokenizer(sides, maxval, raster):
+    data = b"P2\n%d %d\n" % sides + maxval + raster
+    try:
+        got = read_pgm(data).pixels.tolist()
+    except PgmError as exc:
+        got = str(exc)
+    assert got == _reference_read(data)
 
 
 @settings(max_examples=400, deadline=None)

@@ -447,6 +447,7 @@ class TestPgm:
         scene = Scene(rng.integers(0, 65536, size=64), 8, 8)
         data = write_pgm(scene)
         assert data.startswith(b"P5\n8 8\n65535\n")
+        assert write_pgm(scene.reshaped()) == data
         again = read_pgm(data)
         assert np.array_equal(again.pixels, scene.pixels)
 
@@ -461,8 +462,16 @@ class TestPgm:
 
     def test_text_round_trip(self):
         scene = Scene(np.arange(16), 4, 4)
-        again = read_pgm(write_pgm(scene, binary=False))
+        data = write_pgm(scene, binary=False)
+        assert write_pgm(scene.reshaped(), binary=False) == data
+        again = read_pgm(data)
         assert np.array_equal(again.pixels, scene.pixels)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+    def test_write_rejects_an_empty_image(self, shape):
+        # Its header would declare a zero side, which read_pgm refuses.
+        with pytest.raises(ValueError, match="nonempty"):
+            write_pgm(np.zeros(shape, dtype=np.int64))
 
     def test_bad_magic(self):
         with pytest.raises(PgmError):
@@ -475,6 +484,12 @@ class TestPgm:
     def test_truncated_header(self):
         with pytest.raises(PgmError):
             read_pgm(b"P2\n4 4\n")
+
+    @pytest.mark.parametrize("body", [b"", b"0 1 2", b"0 1 # 2 3", b"0 1 2 3\n# 4"])
+    def test_short_text_raster_is_a_truncated_raster(self, body):
+        # As in P5: the header is whole, the raster is not.
+        with pytest.raises(PgmError, match="^truncated graymap raster$"):
+            read_pgm(b"P2\n4 2\n255\n" + body)
 
     def test_maxval_too_large(self):
         with pytest.raises(PgmError):
@@ -504,7 +519,7 @@ class TestPgm:
         ],
     )
     def test_bad_raster_fails_alike_with_and_without_comments(self, raster):
-        # A raster without '#' is split at once; with one it is scanned.
+        # Stripping the comments leaves the same samples, and the same error.
         errors = []
         for body in (raster, b"# note\n" + raster, raster.replace(b" ", b"\n# c\n", 1)):
             with pytest.raises(PgmError) as err:

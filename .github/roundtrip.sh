@@ -10,9 +10,11 @@
 # whose whole spectrum lies in sequency 0..15, so reconstruct works over
 # the measured index bits; 256x256, whose 65536 plain CSV lines take the
 # vectorized parse; 16x16 read from a P2 file with a comment after maxval,
-# a comment at each row end and CRLF line breaks.  Reconstruct's
-# workspace peaks at the window of measured index bits plus its one 2^n
-# output buffer, at every sampling.
+# a comment at each row end and CRLF line breaks.  Then the 32x16 dyadic
+# scene again from its CSV with the header line dropped: the flags give n
+# and the scheme, and the lone --width 32 decides the height.
+# Reconstruct's workspace peaks at the window of measured index bits plus
+# its one 2^n output buffer, at every sampling.
 set -euo pipefail
 dir=$1
 while read -r name width height ordering flags; do
@@ -47,3 +49,8 @@ low 16 16 sequency --indices 0..16
 big 256 256 sequency
 text 16 16 sequency
 CASES
+tail -n +2 "$dir/odd.csv" > "$dir/odd-bare.csv"
+hadrow reconstruct --measurements "$dir/odd-bare.csv" --n 9 --ordering dyadic --width 32 \
+  --out "$dir/odd-bare-estimate.pgm"
+cmp "$dir/odd.pgm" "$dir/odd-bare-estimate.pgm"
+echo "odd without its header line: --n 9 --ordering dyadic --width 32 round trip matches"

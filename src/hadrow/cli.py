@@ -17,6 +17,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -69,6 +70,8 @@ _INDEX_WORK_BYTES = 64
 _CSV_BLOCK_ROWS = 1 << 8
 # The only bytes of a plain measurement data line (see _plain_rows).
 _PLAIN_BYTES = b"0123456789-,\n"
+# The settings a measurement CSV's `# hadrow` line records, in its order.
+_HEADER_FIELDS = ("n", "scheme", "width", "height")
 
 
 class UsageError(ValueError):
@@ -77,6 +80,11 @@ class UsageError(ValueError):
 
 class InputDataError(ValueError):
     """Malformed input file contents; mapped to exit code 3."""
+
+
+# Errors that exit 3.  Every other ValueError (UsageError, OrderError,
+# IndexRangeError, DuplicateIndexError, ...) is a usage error, exit 2.
+_IO_ERRORS = (InputDataError, PgmError, PatternFormatError, OSError)
 
 
 def _order_cap() -> int:
@@ -218,13 +226,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def _read_file_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def cmd_simulate(args) -> int:
-    scene = read_pgm(_read_file_bytes(args.image))
+    scene = read_pgm(Path(args.image).read_bytes())
     _check_order(scene.n, _order_cap())
     scheme = OrderingScheme(args.ordering)
     if args.indices is None:
@@ -232,13 +235,10 @@ def cmd_simulate(args) -> int:
     else:
         ordered = _parse_indices(args.indices, scene.n)
     measured = simulate(scene, ordered, scheme)
-    header = (
-        f"# hadrow n={measured.n} scheme={measured.scheme} "
-        f"width={measured.width} height={measured.height}\n"
-    )
+    settings = " ".join(f"{key}={getattr(measured, key)}" for key in _HEADER_FIELDS)
     rows = np.stack((measured._indices, measured._values), axis=1)
     with _output(args.out) as fh:
-        fh.write(header.encode("ascii"))
+        fh.write(f"# hadrow {settings}\n".encode("ascii"))
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
             fields = rows[start : start + _CSV_BLOCK_ROWS].ravel().tolist()
             fh.write(b"%d,%d\n" * (len(fields) // 2) % tuple(fields))
@@ -333,36 +333,31 @@ def _read_measurements(data: bytes) -> tuple[dict, np.ndarray | list[int], np.nd
     return meta, [k for k, _ in entries], np.array([y for _, y in entries], dtype=np.int64)
 
 
-def _meta_int(meta: dict, key: str) -> int | None:
-    if key not in meta:
-        return None
+def _setting(key: str, flag, meta: dict):
+    """One reconstruct setting: its flag, else its header value, parsed, else None."""
+    if flag is not None or key not in meta:
+        return flag
     try:
-        return int(meta[key])
+        return (OrderingScheme if key == "scheme" else int)(meta[key])
     except ValueError:
         raise InputDataError(f"bad {key}={meta[key]!r} in measurements header") from None
 
 
 def cmd_reconstruct(args) -> int:
     # The file's bytes are freed once parsed, before the transform's buffers exist.
-    meta, indices, values = _read_measurements(_read_file_bytes(args.measurements))
-    n = args.n if args.n is not None else _meta_int(meta, "n")
+    meta, indices, values = _read_measurements(Path(args.measurements).read_bytes())
+    n, scheme, width, height = (_setting(key, getattr(args, key), meta) for key in _HEADER_FIELDS)
     if n is None:
         raise UsageError("order exponent unknown: no CSV header and no --n")
     _check_order(n, _order_cap())
-    if args.ordering is not None:
-        scheme = OrderingScheme(args.ordering)
-    else:
-        try:
-            scheme = OrderingScheme(meta.get("scheme", "natural"))
-        except ValueError:
-            raise InputDataError(f"bad scheme {meta['scheme']!r} in measurements header") from None
-    width = args.width if args.width is not None else _meta_int(meta, "width")
-    height = args.height if args.height is not None else _meta_int(meta, "height")
-    if width is None or height is None:
+    if width is None and height is None:
         if n % 2:
-            raise UsageError("scene shape unknown: pass --width/--height (no square for odd n)")
+            raise UsageError("scene shape unknown: pass --width or --height (no square for odd n)")
         width = height = 1 << (n // 2)
-    measured = MeasurementSet._from_arrays(indices, values, scheme, n, width, height)
+    # A lone side decides the other; a side below 1 is left for the set to refuse.
+    width = (1 << n) // max(height, 1) if width is None else width
+    height = (1 << n) // max(width, 1) if height is None else height
+    measured = MeasurementSet._from_arrays(indices, values, scheme or "natural", n, width, height)
     try:
         estimate = reconstruct(measured)
     except ValueError as exc:
@@ -470,9 +465,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default=None, help="PGM output path (default stdout)")
     p.add_argument("--n", type=int, default=None, help="order exponent (overrides CSV header)")
-    p.add_argument("--ordering", choices=_SCHEME_NAMES, default=None)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--height", type=int, default=None)
+    p.add_argument("--ordering", dest="scheme", choices=_SCHEME_NAMES, default=None)
+    derived = (
+        "this flag, else the CSV header, else 2^n / {}; with neither side known, "
+        "a square at even n"
+    )
+    p.add_argument("--width", type=int, default=None, help=derived.format("height"))
+    p.add_argument("--height", type=int, default=None, help=derived.format("width"))
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("bench", help="time row generation and report counts and memory")
@@ -489,14 +488,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputDataError, PgmError, PatternFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        # UsageError, OrderError, IndexRangeError, DuplicateIndexError and
-        # any other bad value are usage errors.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_IO if isinstance(exc, _IO_ERRORS) else EXIT_USAGE
 
 
 if __name__ == "__main__":

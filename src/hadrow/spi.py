@@ -203,10 +203,11 @@ def simulate(scene: Scene, indices, scheme=OrderingScheme.NATURAL) -> Measuremen
     scene and discarded, so the workspace is one row plus its int64 copy.
     From n indices on, one fast transform of the scene yields every
     coefficient at once and each y_k is read off at natural slot
-    `to_natural(k)`.  The transform's n*2^n additions cost about what n
-    streamed rows do, hence the cutoff at n.  Its workspace is two 2^n
-    int64 arrays (the transformed copy of the scene and the transform's
-    own buffer), the size of the scene's own pixels twice over.
+    `to_natural(k)`.  The cutoff at n is untuned (streamed rows measured
+    as costly as the transform at about 2-14 rows for n = 10..22); it
+    stays until a benchmark times partial sets.  The transform's
+    workspace is two 2^n int64 arrays (the transformed copy of the scene
+    and the transform's own buffer), the scene's own pixels twice over.
 
     Either way no per-entry Python object is made.
     """

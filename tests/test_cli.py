@@ -2,6 +2,7 @@
 
 import gc
 import io
+import itertools
 import tracemalloc
 import warnings
 
@@ -11,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadrow import (
+    MAX_PIXEL,
+    MeasurementSet,
     full_matrix,
     generate_ordered_row,
     generate_row,
     predicted_cost,
     read_patterns,
     read_pgm,
+    reconstruct,
     simulate,
     write_patterns,
     write_pgm,
@@ -330,15 +334,49 @@ class TestSimulateReconstruct:
 
     @pytest.mark.parametrize(
         "header,flags",
-        [("# hadrow n=2 width=-2 height=-2\n", []), ("", ["--width", "-1", "--height", "-4"])],
-        ids=["header", "flags"],
+        [
+            ("# hadrow n=2 width=-2 height=-2\n", []),
+            ("", ["--width", "-1", "--height", "-4"]),
+            ("", ["--width", "0"]),
+            ("", ["--width", "-4"]),
+            ("", ["--width", "3"]),
+        ],
+        ids=["header", "flags", "lone-zero", "lone-negative", "lone-not-dividing"],
     )
     def test_side_below_one_is_usage_error(self, tmp_path, capsys, header, flags):
-        # Both products equal 2^2; the measurement set rejects the sides.
+        # The measurement set rejects the sides: both products equal 2^2, and
+        # a lone side below 1, or one that does not divide 2^2, is passed on.
         csv = tmp_path / "m.csv"
         csv.write_text(header + "0,10\n")
-        assert run("reconstruct", "--measurements", str(csv), "--n", "2", *flags) == 2
+        out = tmp_path / "r.pgm"
+        argv = ["--measurements", str(csv), "--n", "2", "--out", str(out), *flags]
+        assert run("reconstruct", *argv) == 2
         assert "sides must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "shape,header,flags",
+        [
+            ((4, 16), "", ["--n", "6", "--width", "16"]),
+            ((2, 32), "", ["--n", "6", "--height", "2"]),
+            ((4, 8), "", ["--n", "5", "--width", "8"]),
+            ((8, 4), "", ["--n", "5", "--height", "8"]),
+            ((4, 16), "# hadrow width=16\n", ["--n", "6"]),
+            ((8, 4), "# hadrow n=5 height=8\n", []),
+        ],
+        ids=["width-6", "height-6", "width-5", "height-5", "header-width", "header-height"],
+    )
+    def test_lone_side_decides_the_other(self, tmp_path, shape, header, flags):
+        rng = np.random.default_rng(7)
+        pixels = rng.integers(0, 256, size=shape)
+        image = tmp_path / "in.pgm"
+        image.write_bytes(write_pgm(pixels))
+        csv = tmp_path / "m.csv"
+        out = tmp_path / "out.pgm"
+        assert run("simulate", "--image", str(image), "--out", str(csv)) == 0
+        csv.write_text(header + csv.read_text().split("\n", 1)[1])  # replace the header line
+        assert run("reconstruct", "--measurements", str(csv), "--out", str(out), *flags) == 0
+        assert out.read_bytes() == image.read_bytes()
 
     def test_duplicate_measurement_is_usage_error(self, tmp_path):
         csv = tmp_path / "dup.csv"
@@ -368,6 +406,96 @@ class TestSimulateReconstruct:
         image = tmp_path / "corrupt.pgm"
         image.write_bytes(b"P5\n4 4\n255\n\x00\x00")
         assert run("simulate", "--image", str(image)) == 3
+
+
+# Per key: (flag, header value, unparsable header value).  The flag and the
+# header always differ, so the output shows which one was taken.
+_SETTINGS = {
+    "n": ("6", "5", "x5"),
+    "scheme": ("dyadic", "sequency", "foo"),
+    "width": ("8", "4", "4.0"),
+    "height": ("2", "16", "sixteen"),
+}
+_FLAG_NAMES = {"n": "--n", "scheme": "--ordering", "width": "--width", "height": "--height"}
+_STATES = ("none", "header", "flag", "both")
+
+
+def _settings_model(states):
+    """Reference model of the settings rule: (n, scheme, width, height) or (exit code, text)."""
+    picked = {}
+    for key, state in states.items():
+        flag, header, bad = _SETTINGS[key]
+        if state in ("flag", "both", "bad+flag"):
+            picked[key] = flag
+        elif state == "header":
+            picked[key] = header
+        elif state == "bad":
+            return 3, f"bad {key}={bad!r} in measurements header"
+        else:
+            picked[key] = None
+    n, scheme, width, height = (picked[key] for key in _SETTINGS)
+    if n is None:
+        return 2, "order exponent unknown"
+    n = int(n)
+    if width is None and height is None:
+        if n % 2:
+            return 2, "pass --width or --height"
+        width = height = 2 ** (n // 2)
+    elif width is None:
+        width = 2**n // int(height)
+    elif height is None:
+        height = 2**n // int(width)
+    return n, scheme or "natural", int(width), int(height)
+
+
+_SETTINGS_CASES = [dict(zip(_SETTINGS, combo)) for combo in itertools.product(_STATES, repeat=4)]
+_SETTINGS_CASES += [
+    {**dict.fromkeys(_SETTINGS, "header"), key: state}
+    for key in _SETTINGS
+    for state in ("bad", "bad+flag")
+]
+
+
+class TestReconstructSettings:
+    """Each setting is its flag, else its header value, else derived; pinned to a model."""
+
+    @pytest.mark.parametrize(
+        "states", _SETTINGS_CASES, ids=lambda s: "-".join(f"{k}:{v}" for k, v in s.items())
+    )
+    def test_settings_follow_the_reference_model(self, tmp_path, capsys, states):
+        entries = [(k, 3 * k - 20) for k in range(16)]
+        header = [
+            f"{key}={_SETTINGS[key][2 if state.startswith('bad') else 1]}"
+            for key, state in states.items()
+            if state in ("header", "both", "bad", "bad+flag")
+        ]
+        flags = [
+            arg
+            for key, state in states.items()
+            if state in ("flag", "both", "bad+flag")
+            for arg in (_FLAG_NAMES[key], _SETTINGS[key][0])
+        ]
+        csv = tmp_path / "m.csv"
+        lines = [f"# hadrow {' '.join(header)}"] if header else []
+        csv.write_text("\n".join(lines + [f"{k},{y}" for k, y in entries]) + "\n")
+        out = tmp_path / "r.pgm"
+        code = run("reconstruct", "--measurements", str(csv), "--out", str(out), *flags)
+        err = capsys.readouterr().err
+        expected = _settings_model(states)
+        if len(expected) == 2:
+            assert (code, expected[1] in err) == (expected[0], True), err
+            assert not out.exists()
+            return
+        n, scheme, width, height = expected
+        try:
+            measured = MeasurementSet(entries, scheme, n, width, height)
+        except ValueError as exc:
+            assert (code, err) == (2, f"error: {exc}\n")
+            assert not out.exists()
+            return
+        assert code == 0, err
+        estimate = np.clip(np.rint(reconstruct(measured)), 0, MAX_PIXEL)
+        assert np.array_equal(read_pgm(out.read_bytes()).reshaped(), estimate)
 
 
 class TestMeasurementMemory:

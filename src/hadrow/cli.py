@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import os
 import statistics
@@ -249,7 +250,9 @@ def _parse_measurement_csv(text: str) -> tuple[dict, list[tuple[int, int]]]:
     """The line loop: header fields and (index, value) pairs, one line at a time.
 
     Reads every layout the CSV may take and names the first bad line.
-    An index may be any integer here; the measurement set checks its range.
+    Header fields come only from `# hadrow` lines before the first data
+    line, each key once.  An index may be any integer here; the
+    measurement set checks its range.
     """
     meta: dict = {}
     entries: list[tuple[int, int]] = []
@@ -260,10 +263,15 @@ def _parse_measurement_csv(text: str) -> tuple[dict, list[tuple[int, int]]]:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("hadrow"):
+                if entries:
+                    raise InputDataError(f"measurements line {lineno}: header line after data")
                 for token in body.split()[1:]:
                     key, sep, value = token.partition("=")
-                    if sep:
-                        meta[key] = value
+                    if not sep:
+                        continue
+                    if key in meta:
+                        raise InputDataError(f"measurements line {lineno}: header repeats {key}")
+                    meta[key] = value
             continue
         left, sep, right = line.partition(",")
         if not sep:
@@ -406,6 +414,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hadrow",
@@ -485,6 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one hadrow command; the parser is built on the first call and reused."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,10 +1,15 @@
 """End-to-end tests of the command line surface and its exit-code contract."""
 
+import argparse
 import gc
 import io
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,9 @@ from hadrow import (
 )
 from hadrow import cli
 from hadrow.cli import InputDataError, _parse_measurement_csv, _read_measurements, main
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv):
@@ -628,7 +636,7 @@ class TestMeasurementParse:
         [("# hadrow n=2 width=2 height=2\n\n0,10\n1,-2\n2,-4\n3,0\n", False),
          ("0,10\n1,-2\n2,-4\n3,0", False),
          ("# hadrow n=2\n0,10\n1,-2\n2,-4\n3, 0\n", True),
-         ("0,10\n1,-2\n# hadrow n=2\n2,-4\n3,0\n", True)],
+         ("0,10\n1,-2\n# note\n2,-4\n3,0\n", True)],
     )
     def test_only_odd_files_take_the_line_loop_whole(self, tmp_path, monkeypatch, text, whole):
         seen = []
@@ -640,6 +648,125 @@ class TestMeasurementParse:
         assert run("reconstruct", "--measurements", str(csv), "--n", "2", "--out", str(out)) == 0
         assert read_pgm(out.read_bytes()).pixels.tolist() == [1, 2, 3, 4]
         assert (seen[-1] == text) == whole
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("# hadrow n=2 width=2 height=2\n0,10\n1,-2\n2,-4\n3,0\n# hadrow n=3 width=4 height=2\n",
+          "measurements line 6: header line after data"),
+         ("# hadrow n=2 n=3 width=4 height=2\n0,10\n1,-2\n2,-4\n3,0\n",
+          "measurements line 1: header repeats n"),
+         ("# hadrow n=2\n\n#hadrow width=2 n=2\n0,10\n1,-2\n2,-4\n3,0\n",
+          "measurements line 3: header repeats n")],
+        ids=["header-after-data", "key-twice-on-one-line", "key-on-two-lines"],
+    )
+    def test_stray_header_is_io_error(self, tmp_path, capsys, text, message):
+        csv = tmp_path / "m.csv"
+        csv.write_text(text)
+        out = tmp_path / "r.pgm"
+        assert run("reconstruct", "--measurements", str(csv), "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_benchmark_csvs_take_the_vectorized_pass(self, tmp_path, monkeypatch):
+        # The two spi benchmark workloads' files: simulate's CSV of a 32x32
+        # scene, and a header plus 4096 measurements at n = 22.
+        image = tmp_path / "scene.pgm"
+        image.write_bytes(write_pgm(np.random.default_rng(32).integers(0, 256, size=(32, 32))))
+        csv = tmp_path / "m.csv"
+        assert run("simulate", "--image", str(image), "--ordering", "sequency",
+                   "--out", str(csv)) == 0
+        header = "# hadrow n=22 scheme=sequency width=2048 height=2048\n"
+        big = header + "".join(f"{k},{(k % 7 - 3) << 22}\n" for k in range(4096))
+        seen = []
+        line_loop = cli._parse_measurement_csv
+        monkeypatch.setattr(cli, "_parse_measurement_csv", lambda t: seen.append(t) or line_loop(t))
+        for data in (csv.read_bytes(), big.encode("ascii")):
+            seen.clear()
+            meta, indices, values = _read_measurements(data)
+            # The line loop read the header line alone; loadtxt read every data line.
+            assert seen == [data[: data.index(b"\n") + 1].decode("ascii")]
+            assert meta["scheme"] == "sequency"
+            assert len(indices) == len(values) == data.count(b"\n") - 1
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and carries nothing from call to call."""
+
+    def test_parser_is_built_on_the_first_call_only(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        cli._build_parser.cache_clear()
+        assert run("row", "--index", "1", "--n", "2") == 0
+        first = len(built)
+        assert first == 7  # the top level and its six subcommands
+        for argv in (["row", "--index", "2", "--n", "3"], ["bench", "--n-min", "5", "--n-max", "4"],
+                     ["verify", "--n-max", "2"]):
+            run(*argv)
+        with pytest.raises(SystemExit):
+            run("frobnicate")
+        assert len(built) == first
+
+    def test_reconstruct_flags_do_not_carry_over(self, tmp_path):
+        pixels = np.arange(32).reshape(4, 8)
+        image = tmp_path / "in.pgm"
+        image.write_bytes(write_pgm(pixels))
+        csv = tmp_path / "m.csv"
+        assert run("simulate", "--image", str(image), "--out", str(csv)) == 0
+        bare = tmp_path / "bare.csv"
+        bare.write_text(csv.read_text().split("\n", 1)[1])
+        out = tmp_path / "r.pgm"
+        argv = ["reconstruct", "--measurements", str(bare), "--out", str(out)]
+        assert run(*argv, "--n", "5", "--width", "4") == 0
+        assert read_pgm(out.read_bytes()).reshaped().shape == (8, 4)
+        assert run("reconstruct", "--measurements", str(csv), "--out", str(out)) == 0
+        assert out.read_bytes() == image.read_bytes()  # the header's 8x4, not the flags'
+
+    def test_row_verbose_does_not_carry_over(self, capsys):
+        assert run("row", "--index", "5", "--n", "4", "--verbose") == 0
+        assert capsys.readouterr().err == "multiplications: 30\n"
+        assert run("row", "--index", "5", "--n", "4") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_failures_leave_what_a_fresh_process_gives(self, tmp_path, capfd):
+        argvs = [["frobnicate"],
+                 ["batch", "--indices", "0..4", "--n", "3", "--jobs", "0"],
+                 ["batch", "--indices", "0..4,6", "--n", "3", "--ordering", "dyadic"]]
+        fresh = []
+        for argv in argvs:
+            done = subprocess.run([sys.executable, "-m", "hadrow.cli", *argv], capture_output=True,
+                                  env={**os.environ, "PYTHONPATH": str(SRC)})
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        capfd.readouterr()
+        in_process = []
+        for argv in argvs:
+            try:
+                code = run(*argv)
+            except SystemExit as exc:
+                code = exc.code
+            sys.stdout.flush()
+            sys.stderr.flush()
+            out, err = capfd.readouterr()
+            in_process.append((code, out.encode(), err.encode()))
+        assert [code for code, _, _ in fresh] == [2, 2, 0]
+        assert in_process == fresh
+
+    @pytest.mark.parametrize(
+        "command", [None, "row", "batch", "verify", "simulate", "reconstruct", "bench"]
+    )
+    def test_help_matches_a_fresh_parser(self, capsys, command):
+        argv = [command, "--help"] if command else ["--help"]
+        assert run("row", "--index", "0", "--n", "1") == 0
+        texts = []
+        for parse in (main, cli._build_parser.__wrapped__().parse_args):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"usage: hadrow {command or ''}".rstrip())
 
 
 class TestBench:

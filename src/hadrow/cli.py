@@ -261,11 +261,11 @@ def _parse_measurement_csv(text: str) -> tuple[dict, list[tuple[int, int]]]:
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("hadrow"):
+            words = line[1:].split()
+            if words[:1] == ["hadrow"]:
                 if entries:
                     raise InputDataError(f"measurements line {lineno}: header line after data")
-                for token in body.split()[1:]:
+                for token in words[1:]:
                     key, sep, value = token.partition("=")
                     if not sep:
                         continue

@@ -122,8 +122,10 @@ def _first_not_increasing(indices: np.ndarray) -> int | None:
     return int(bad[0]) + 1 if bad.size else None
 
 
-# Row b holds the 8 signs that byte value b packs, most significant bit first.
-_SIGNS = 1 - 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int8)
+# Item w holds, as one 16-byte V16 item, the 16 int8 signs packed in the
+# two bytes that store the uint16 word w, most significant bit first.
+_SIGNS16 = np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8)).astype(np.int8)
+_SIGNS16 = (1 - 2 * _SIGNS16).view("V16")
 
 
 @dataclass(frozen=True)
@@ -171,9 +173,21 @@ class SignVector:
         return cls(bytes(data), length)
 
     @classmethod
+    def _trusted(cls, packed: bytes, length: int) -> "SignVector":
+        """Wrap storage a kernel just built, skipping `__post_init__`'s checks.
+
+        The caller guarantees `packed` is a `bytes` of ceil(length / 8)
+        bytes with clean padding, and length a power of two.
+        """
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "packed", packed)
+        object.__setattr__(vector, "length", length)
+        return vector
+
+    @classmethod
     def _pack(cls, signs: np.ndarray) -> "SignVector":
         # Trusted path: caller guarantees a 1-d +-1 array of power-of-two size.
-        return cls(np.packbits(signs == -1).tobytes(), signs.size)
+        return cls._trusted(np.packbits(signs == -1).tobytes(), signs.size)
 
     def __len__(self) -> int:
         return self.length
@@ -196,8 +210,10 @@ class SignVector:
 
     def to_numpy(self) -> np.ndarray:
         """Unpack to a fresh int8 array of +1/-1 entries."""
-        packed = np.frombuffer(self.packed, dtype=np.uint8)
-        return _SIGNS.take(packed, axis=0).reshape(-1)[: self.length]
+        # A one-byte row gets a zero byte, so that every row is whole words.
+        packed = self.packed if self.length > 8 else self.packed + b"\0"
+        words = np.frombuffer(packed, dtype=np.uint16)
+        return _SIGNS16.take(words).view(np.int8)[: self.length]
 
     def dot(self, other: "SignVector") -> int:
         """Exact inner product; 2^n on self, 0 against any orthogonal row."""
@@ -313,30 +329,45 @@ def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
     """Row i of the order-2^n Hadamard matrix, without building the matrix.
 
     The binary digits of i pick which base row enters each Kronecker
-    factor.  The row is built directly in packed form: the low 3 digits
-    select its first byte, and each higher digit b doubles the bytes built
-    so far, appending a copy for digit 0 or their bitwise complement for
-    digit 1.  With bit 1 encoding -1, that doubling is the Kronecker
-    product with [1, 1] or [1, -1].  The returned counter always reads
-    2^(n+1) - 2; peak working memory is the packed row plus one copy.
+    factor.  The row is built directly in packed form, bit 1 encoding -1,
+    and the chain is split once: row i = row(i >> m, order 2^h) (x)
+    row(i mod 2^m, order 2^m), with h = min(3, max(0, n - 3)) and
+    m = n - h.  The low factor, the stripe, is built by doubling: the low
+    3 digits select its first byte, and each higher digit b doubles the
+    bytes built so far, appending a copy for digit 0 or their bitwise
+    complement for digit 1, which is the Kronecker product with [1, 1]
+    or [1, -1].  The row is then one join of its 2^h stripes, each the
+    stripe or its complement as the high factor's sign says.  The
+    returned counter always reads 2^(n+1) - 2, the cost of the doubling
+    chain the split stands for.  Peak working memory is the packed row
+    plus two stripes, each an eighth of it from n = 6 on: 1.25 bits per
+    entry.
     """
     n = _check_order(n, ORDER_CAP)
     i = _check_index(i, n)
-    low = min(n, 3)
+    h = min(3, max(0, n - 3))
+    m = n - h
+    low = min(m, 3)
     counter = OpCounter()
-    # The table stands for the first `low` levels, each charged 2 * length.
-    counter.add((2 << low) - 2)
-    out = np.empty(1 << (n - low), dtype=np.uint8)
+    counter.add((2 << n) - 2)
+    out = np.empty(1 << (m - low), dtype=np.uint8)
     # Orders below 3 keep only the top 2^n bits; the padding stays zero.
     out[0] = _FIRST_BYTES[i & 7] & ((0xFF00 >> (1 << low)) & 0xFF)
-    for b in range(low, n):
-        counter.add(2 << b)
+    for b in range(low, m):
         half = 1 << (b - 3)
         if (i >> b) & 1:
             np.bitwise_not(out[:half], out=out[half : 2 * half])
         else:
             out[half : 2 * half] = out[:half]
-    return SignVector(out.tobytes(), 1 << n), counter
+    stripe = out.tobytes()
+    complement = np.bitwise_not(out, out=out).tobytes()
+    del out  # before the join, so that the row is the only 2^n-bit buffer
+    # Entry s < 8 of any row's first byte is that row's sign at s (see _FIRST_BYTES).
+    # With h = 0 only entry 0, always +1, is read, so the complement (whose
+    # padding bits are set below order 8) is never joined.
+    signs = int(_FIRST_BYTES[i >> m])
+    stripes = [complement if (signs << s) & 0x80 else stripe for s in range(1 << h)]
+    return SignVector._trusted(b"".join(stripes), 1 << n), counter
 
 
 def generate_rows(naturals, n: int) -> tuple[np.ndarray, OpCounter]:

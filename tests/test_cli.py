@@ -667,6 +667,19 @@ class TestMeasurementParse:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["# hadrowing notes: n=3 width=4 height=2\n0,10\n1,-2\n2,-4\n3,0\n",
+         "0,10\n1,-2\n2,-4\n3,0\n# hadrowing notes: n=3 width=4 height=2\n"],
+        ids=["before-data", "after-data"],
+    )
+    def test_comment_starting_with_hadrow_is_not_a_header(self, tmp_path, text):
+        csv = tmp_path / "m.csv"
+        csv.write_text(text)
+        out = tmp_path / "r.pgm"
+        assert run("reconstruct", "--measurements", str(csv), "--n", "2", "--out", str(out)) == 0
+        assert read_pgm(out.read_bytes()).pixels.tolist() == [1, 2, 3, 4]
+
     def test_benchmark_csvs_take_the_vectorized_pass(self, tmp_path, monkeypatch):
         # The two spi benchmark workloads' files: simulate's CSV of a 32x32
         # scene, and a header plus 4096 measurements at n = 22.

@@ -12,6 +12,7 @@ from hadrow import (
     IndexRangeError,
     OrderingScheme,
     bit_reverse,
+    direct_row,
     generate_ordered_row,
     gray_code,
     sign_changes,
@@ -175,11 +176,28 @@ def test_scheme_coercion_from_token():
         OrderingScheme("walsh")
 
 
+@pytest.mark.parametrize("scheme", ["walsh", "SEQUENCY", None, ["sequency"], {"a": 1}])
+@pytest.mark.parametrize("mapper", [to_natural, to_natural_array])
+def test_unknown_scheme_raises_the_enum_error(mapper, scheme):
+    # Unhashable inputs miss the lookup table and still get the Enum's own error.
+    with pytest.raises(ValueError, match="is not a valid OrderingScheme"):
+        mapper(3, 2, scheme)
+
+
 def test_index_out_of_range():
     with pytest.raises(IndexRangeError):
         to_natural(4, 2, OrderingScheme.SEQUENCY)
     with pytest.raises(IndexRangeError):
         generate_ordered_row(-1, 3, OrderingScheme.NATURAL)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@pytest.mark.parametrize("n", range(13, 25))
+def test_ordered_rows_match_the_direct_row(scheme, n):
+    rng = np.random.default_rng(n)
+    for k in map(int, rng.integers(0, 1 << n, size=4 if n <= 20 else 1)):
+        expected = direct_row(to_natural(k, n, scheme), n)
+        assert generate_ordered_row(k, n, scheme) == expected
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)

@@ -122,10 +122,8 @@ def _first_not_increasing(indices: np.ndarray) -> int | None:
     return int(bad[0]) + 1 if bad.size else None
 
 
-# Item w holds, as one 16-byte V16 item, the 16 int8 signs packed in the
-# two bytes that store the uint16 word w, most significant bit first.
-_SIGNS16 = np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8)).astype(np.int8)
-_SIGNS16 = (1 - 2 * _SIGNS16).view("V16")
+# Row b holds the 8 signs that byte value b packs, most significant bit first.
+_SIGNS = 1 - 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -173,21 +171,9 @@ class SignVector:
         return cls(bytes(data), length)
 
     @classmethod
-    def _trusted(cls, packed: bytes, length: int) -> "SignVector":
-        """Wrap storage a kernel just built, skipping `__post_init__`'s checks.
-
-        The caller guarantees `packed` is a `bytes` of ceil(length / 8)
-        bytes with clean padding, and length a power of two.
-        """
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "packed", packed)
-        object.__setattr__(vector, "length", length)
-        return vector
-
-    @classmethod
     def _pack(cls, signs: np.ndarray) -> "SignVector":
         # Trusted path: caller guarantees a 1-d +-1 array of power-of-two size.
-        return cls._trusted(np.packbits(signs == -1).tobytes(), signs.size)
+        return cls(np.packbits(signs == -1).tobytes(), signs.size)
 
     def __len__(self) -> int:
         return self.length
@@ -210,10 +196,8 @@ class SignVector:
 
     def to_numpy(self) -> np.ndarray:
         """Unpack to a fresh int8 array of +1/-1 entries."""
-        # A one-byte row gets a zero byte, so that every row is whole words.
-        packed = self.packed if self.length > 8 else self.packed + b"\0"
-        words = np.frombuffer(packed, dtype=np.uint16)
-        return _SIGNS16.take(words).view(np.int8)[: self.length]
+        packed = np.frombuffer(self.packed, dtype=np.uint8)
+        return _SIGNS.take(packed, axis=0).reshape(-1)[: self.length]
 
     def dot(self, other: "SignVector") -> int:
         """Exact inner product; 2^n on self, 0 against any orthogonal row."""
@@ -338,8 +322,9 @@ def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
     complement for digit 1, which is the Kronecker product with [1, 1]
     or [1, -1].  The row is then one join of its 2^h stripes, each the
     stripe or its complement as the high factor's sign says.  The
-    returned counter always reads 2^(n+1) - 2, the cost of the doubling
-    chain the split stands for.  Peak working memory is the packed row
+    counter is not counted as the kernel runs: it is charged 2^(n+1) - 2
+    up front, the closed-form cost of the full doubling chain the split
+    stands for.  Peak working memory is the packed row
     plus two stripes, each an eighth of it from n = 6 on: 1.25 bits per
     entry.
     """
@@ -367,7 +352,7 @@ def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
     # padding bits are set below order 8) is never joined.
     signs = int(_FIRST_BYTES[i >> m])
     stripes = [complement if (signs << s) & 0x80 else stripe for s in range(1 << h)]
-    return SignVector._trusted(b"".join(stripes), 1 << n), counter
+    return SignVector(b"".join(stripes), 1 << n), counter
 
 
 def generate_rows(naturals, n: int) -> tuple[np.ndarray, OpCounter]:

@@ -42,18 +42,6 @@ class OrderingScheme(enum.Enum):
         return self.value
 
 
-# Each member and each member's value, mapped to the member.
-_SCHEMES = {key: scheme for scheme in OrderingScheme for key in (scheme, scheme.value)}
-
-
-def _scheme(scheme) -> OrderingScheme:
-    """`OrderingScheme(scheme)`, looked up in a dict; the Enum is called only for its error."""
-    try:
-        return _SCHEMES[scheme]
-    except (KeyError, TypeError):  # TypeError: an unhashable input
-        return OrderingScheme(scheme)
-
-
 def gray_code(k: int) -> int:
     """Reflected binary code of k."""
     return k ^ (k >> 1)
@@ -83,7 +71,7 @@ def to_natural(k: int, n: int, scheme: OrderingScheme) -> int:
     sequency bit-reverses the n-bit Gray code of the index, which sorts
     rows by their number of sign changes.
     """
-    scheme = _scheme(scheme)
+    scheme = OrderingScheme(scheme)
     n = _check_order(n, INDEX_BITS_CAP)
     k = _check_index(k, n)
     if scheme is OrderingScheme.NATURAL:
@@ -101,7 +89,7 @@ def to_natural_array(ks, n: int, scheme: OrderingScheme) -> np.ndarray:
     per-index Python work is involved; working memory is two int64 arrays.
     Every position is checked against [0, 2^n) first, with `to_natural`'s error.
     """
-    scheme = _scheme(scheme)
+    scheme = OrderingScheme(scheme)
     n = _check_order(n, INDEX_BITS_CAP)
     ks = _index_array(ks, n)
     if scheme is OrderingScheme.NATURAL:

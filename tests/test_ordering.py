@@ -179,7 +179,7 @@ def test_scheme_coercion_from_token():
 @pytest.mark.parametrize("scheme", ["walsh", "SEQUENCY", None, ["sequency"], {"a": 1}])
 @pytest.mark.parametrize("mapper", [to_natural, to_natural_array])
 def test_unknown_scheme_raises_the_enum_error(mapper, scheme):
-    # Unhashable inputs miss the lookup table and still get the Enum's own error.
+    # Both mappers raise the Enum's own error, for unhashable inputs too.
     with pytest.raises(ValueError, match="is not a valid OrderingScheme"):
         mapper(3, 2, scheme)
 

@@ -278,7 +278,15 @@ BASE_MATRIX = BaseMatrix(SignVector.from_signs([1, 1]), SignVector.from_signs([1
 
 # The 8 packed rows of the order-8 matrix.  Entries j < 8 of row i are
 # (-1)^popcount(i AND j), so the first byte of any row is entry i % 8 here.
-_FIRST_BYTES = np.frombuffer(bytes.fromhex("005533660f5a3c69"), dtype=np.uint8)
+_FIRST_BYTES = bytes.fromhex("005533660f5a3c69")
+
+# `generate_row` doubles bytes up to 2^15 entries (4 KiB) and lists of
+# references to them beyond.  Per-row time at n = 22 by stripe size, each
+# call right after a cold-cache control (one pinned CPU, median of three
+# 300-call medians): 2^12 134, 2^14 95, 2^15 97, 2^16 96, 2^17 99,
+# 2^19 124 µs.  Flat from 2^14 to 2^16; smaller stripes pay per reference,
+# larger ones per byte copied, and the two stripes add 8 KiB to the peak.
+_STRIPE_BITS = 15
 
 
 @dataclass
@@ -314,62 +322,53 @@ def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
 
     The binary digits of i pick which base row enters each Kronecker
     factor.  The row is built directly in packed form, bit 1 encoding -1,
-    and the chain is split once: row i = row(i >> m, order 2^h) (x)
-    row(i mod 2^m, order 2^m), with h = min(3, max(0, n - 3)) and
-    m = n - h.  The low factor, the stripe, is built by doubling: the low
-    3 digits select its first byte, and each higher digit b doubles the
-    bytes built so far, appending a copy for digit 0 or their bitwise
-    complement for digit 1, which is the Kronecker product with [1, 1]
-    or [1, -1].  The row is then one join of its 2^h stripes, each the
-    stripe or its complement as the high factor's sign says.  The
+    and carried together with its negation.  The low 3 digits select the
+    first byte; each higher digit b doubles both: digit 0 maps
+    (row, neg) to (row + row, neg + neg), the Kronecker product with
+    [1, 1], and digit 1 to (row + neg, neg + row), the product with
+    [1, -1].  So no complement pass is ever made.  Up to 2^15 entries the
+    doubling concatenates bytes; past that it concatenates lists of
+    references to those two stripes, and one join builds the row.  The
     counter is not counted as the kernel runs: it is charged 2^(n+1) - 2
-    up front, the closed-form cost of the full doubling chain the split
-    stands for.  Peak working memory is the packed row
-    plus two stripes, each an eighth of it from n = 6 on: 1.25 bits per
-    entry.
+    up front, the closed-form cost of the doubling chain.  Peak working
+    memory is the packed row, the two 4 KiB stripes, and the reference
+    lists with the join's buffer of one 80-byte entry per reference:
+    about 1.02-1.04 bits per entry from n = 22 on.
     """
     n = _check_order(n, ORDER_CAP)
     i = _check_index(i, n)
-    h = min(3, max(0, n - 3))
-    m = n - h
-    low = min(m, 3)
     counter = OpCounter()
     counter.add((2 << n) - 2)
-    out = np.empty(1 << (m - low), dtype=np.uint8)
-    # Orders below 3 keep only the top 2^n bits; the padding stays zero.
-    out[0] = _FIRST_BYTES[i & 7] & ((0xFF00 >> (1 << low)) & 0xFF)
-    for b in range(low, m):
-        half = 1 << (b - 3)
+    # Orders below 3 keep only the top 2^n bits; the padding stays zero,
+    # and their negation is never used.
+    first = _FIRST_BYTES[i & 7] & ((0xFF00 >> (1 << min(n, 3))) & 0xFF)
+    row, neg = bytes((first,)), bytes((first ^ 0xFF,))
+    for b in range(3, n):
+        if b == _STRIPE_BITS:
+            row, neg = [row], [neg]
         if (i >> b) & 1:
-            np.bitwise_not(out[:half], out=out[half : 2 * half])
+            row, neg = row + neg, neg + row
         else:
-            out[half : 2 * half] = out[:half]
-    stripe = out.tobytes()
-    complement = np.bitwise_not(out, out=out).tobytes()
-    del out  # before the join, so that the row is the only 2^n-bit buffer
-    # Entry s < 8 of any row's first byte is that row's sign at s (see _FIRST_BYTES).
-    # With h = 0 only entry 0, always +1, is read, so the complement (whose
-    # padding bits are set below order 8) is never joined.
-    signs = int(_FIRST_BYTES[i >> m])
-    stripes = [complement if (signs << s) & 0x80 else stripe for s in range(1 << h)]
-    return SignVector(b"".join(stripes), 1 << n), counter
+            row, neg = row + row, neg + neg
+    if n > _STRIPE_BITS:
+        row = b"".join(row)
+    return SignVector(row, 1 << n), counter
 
 
 def generate_rows(naturals, n: int) -> tuple[np.ndarray, OpCounter]:
     """Natural rows `naturals` of the order-2^n matrix as one packed block.
 
-    Block doubling: the same copy/complement doubling as `generate_row`,
-    run once per index bit over every row of the block at once.  Row r
-    of the (count, ceil(2^n / 8)) uint8 result starts from the table byte
-    of its low 3 digits; at each higher digit b one NumPy pass XORs the
-    first half of every row into its second half with a per-row mask
-    that is 0xFF where digit b of that row's index is 1, giving the copy
-    or the bitwise complement.  Padding bits of orders below 3 stay zero.
-    Each row is charged 2^(n+1) - 2 multiplications, as `generate_row`
-    charges it, so the counter reads count * predicted_cost(n).  Working
-    memory is the block plus 32 mask bytes and a few int64 copies of the
-    index per row, so a caller bounds it by how many rows it asks for at
-    once.
+    Block doubling, run once per index bit over every row of the block
+    at once.  Row r of the (count, ceil(2^n / 8)) uint8 result starts
+    from the table byte of its low 3 digits; at each higher digit b one
+    NumPy pass XORs the first half of every row into its second half
+    with a per-row mask that is 0xFF where digit b of that row's index
+    is 1, giving the copy or the bitwise complement.  Padding bits of
+    orders below 3 stay zero.  Each row is charged 2^(n+1) - 2
+    multiplications, as `generate_row` charges it, so the counter reads
+    count * predicted_cost(n).  Working memory is the block plus 32 mask
+    bytes and a few int64 copies of the index per row, so a caller
+    bounds it by how many rows it asks for at once.
     """
     n = _check_order(n, ORDER_CAP)
     naturals = _index_array(naturals, n)
@@ -378,7 +377,8 @@ def generate_rows(naturals, n: int) -> tuple[np.ndarray, OpCounter]:
     counter = OpCounter()
     counter.add(count * ((2 << low) - 2))
     out = np.empty((count, 1 << (n - low)), dtype=np.uint8)
-    out[:, 0] = _FIRST_BYTES[naturals & 7] & ((0xFF00 >> (1 << low)) & 0xFF)
+    first_bytes = np.frombuffer(_FIRST_BYTES, dtype=np.uint8)
+    out[:, 0] = first_bytes[naturals & 7] & ((0xFF00 >> (1 << low)) & 0xFF)
     # Column b of `masks` is 0xFF where digit b of the row's index is 1
     # (n <= ORDER_CAP fits 32 bits, so this is 32 bytes per row).
     as_bytes = naturals.astype("<u4").view(np.uint8).reshape(count, 4)

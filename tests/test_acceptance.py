@@ -127,7 +127,6 @@ def test_criterion_07_spi_round_trip():
 
 
 def test_criterion_08_memory_scaling():
-    hr.generate_row(1, 12)  # warm numpy paths before measuring
     peaks = {}
     for n in range(20, 27):
         gc.collect()

@@ -36,9 +36,9 @@ from .core import (
 from .formats import PatternFormatError, PatternWriter, export_row_text
 from .ordering import (
     OrderingScheme,
+    _scheme,
     generate_ordered_row,
     sign_changes,
-    to_natural,
     to_natural_array,
 )
 from .spi import (
@@ -144,11 +144,10 @@ def _output(path: str | None):
 
 def cmd_row(args) -> int:
     _check_order(args.n, _order_cap())
-    scheme = OrderingScheme(args.ordering)
-    natural = to_natural(args.index, args.n, scheme)
-    row, counter = generate_row(natural, args.n)
+    row = generate_ordered_row(args.index, args.n, args.ordering)
     if args.verbose:
-        print(f"multiplications: {counter.multiplications}", file=sys.stderr)
+        # What generate_row's counter is charged for the row.
+        print(f"multiplications: {predicted_cost(args.n)}", file=sys.stderr)
     if args.format == "packed":
         data = row.packed
     else:
@@ -164,7 +163,7 @@ def cmd_batch(args) -> int:
     # but one vectorized pass per chunk leaves no per-row work to share.
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    scheme = OrderingScheme(args.ordering)
+    scheme = _scheme(args.ordering)
     ordered = _parse_indices(args.indices, args.n)
     row_bytes = ((1 << args.n) + 7) // 8
     chunk = max(1, BATCH_CHUNK_BYTES // (row_bytes + _INDEX_WORK_BYTES))
@@ -230,7 +229,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     scene = read_pgm(Path(args.image).read_bytes())
     _check_order(scene.n, _order_cap())
-    scheme = OrderingScheme(args.ordering)
+    scheme = _scheme(args.ordering)
     if args.indices is None:
         ordered = np.arange(1 << scene.n)
     else:
@@ -346,7 +345,7 @@ def _setting(key: str, flag, meta: dict):
     if flag is not None or key not in meta:
         return flag
     try:
-        return (OrderingScheme if key == "scheme" else int)(meta[key])
+        return (_scheme if key == "scheme" else int)(meta[key])
     except ValueError:
         raise InputDataError(f"bad {key}={meta[key]!r} in measurements header") from None
 

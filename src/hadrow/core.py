@@ -317,8 +317,8 @@ def kron(a: SignVector, b: SignVector, counter: OpCounter | None = None) -> Sign
     return SignVector._pack(signs.reshape(-1))
 
 
-def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
-    """Row i of the order-2^n Hadamard matrix, without building the matrix.
+def _packed_row(i: int, n: int) -> bytes:
+    """Packed bytes of row i of the order-2^n matrix, with i and n taken as checked.
 
     The binary digits of i pick which base row enters each Kronecker
     factor.  The row is built directly in packed form, bit 1 encoding -1,
@@ -328,17 +328,11 @@ def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
     [1, 1], and digit 1 to (row + neg, neg + row), the product with
     [1, -1].  So no complement pass is ever made.  Up to 2^15 entries the
     doubling concatenates bytes; past that it concatenates lists of
-    references to those two stripes, and one join builds the row.  The
-    counter is not counted as the kernel runs: it is charged 2^(n+1) - 2
-    up front, the closed-form cost of the doubling chain.  Peak working
-    memory is the packed row, the two 4 KiB stripes, and the reference
-    lists with the join's buffer of one 80-byte entry per reference:
-    about 1.02-1.04 bits per entry from n = 22 on.
+    references to those two stripes, and one join builds the row.  Peak
+    working memory is the packed row, the two 4 KiB stripes, and the
+    reference lists with the join's buffer of one 80-byte entry per
+    reference: about 1.02-1.04 bits per entry from n = 22 on.
     """
-    n = _check_order(n, ORDER_CAP)
-    i = _check_index(i, n)
-    counter = OpCounter()
-    counter.add((2 << n) - 2)
     # Orders below 3 keep only the top 2^n bits; the padding stays zero,
     # and their negation is never used.
     first = _FIRST_BYTES[i & 7] & ((0xFF00 >> (1 << min(n, 3))) & 0xFF)
@@ -350,9 +344,22 @@ def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
             row, neg = row + neg, neg + row
         else:
             row, neg = row + row, neg + neg
-    if n > _STRIPE_BITS:
-        row = b"".join(row)
-    return SignVector(row, 1 << n), counter
+    return b"".join(row) if n > _STRIPE_BITS else row
+
+
+def generate_row(i: int, n: int) -> tuple[SignVector, OpCounter]:
+    """Row i of the order-2^n Hadamard matrix, without building the matrix.
+
+    Checks i and n, then builds the row with `_packed_row`, the Kronecker
+    doubling chain carried with its negation, at about 1.02-1.04 bits per
+    entry from n = 22 on.  The counter is not counted as the kernel runs:
+    it is charged 2^(n+1) - 2, the closed-form cost of the doubling chain.
+    """
+    n = _check_order(n, ORDER_CAP)
+    i = _check_index(i, n)
+    counter = OpCounter()
+    counter.add((2 << n) - 2)
+    return SignVector(_packed_row(i, n), 1 << n), counter
 
 
 def generate_rows(naturals, n: int) -> tuple[np.ndarray, OpCounter]:

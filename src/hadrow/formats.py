@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import INDEX_BITS_CAP, SignVector, _check_order, _first_not_increasing, _index_array
-from .ordering import OrderingScheme
+from .ordering import OrderingScheme, _scheme
 
 __all__ = [
     "MAGIC",
@@ -82,7 +82,7 @@ class PatternWriter:
     """
 
     def __init__(self, stream, indices, n: int, scheme: OrderingScheme) -> None:
-        scheme = OrderingScheme(scheme)
+        scheme = _scheme(scheme)
         n = _check_order(n, INDEX_BITS_CAP)
         indices = _index_array(indices, n)
         t = _first_not_increasing(indices)
@@ -139,8 +139,10 @@ def write_patterns(
 def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignVector]]]:
     """Exact inverse of write_patterns; trusts nothing outside the stream.
 
-    The index block passes the writer's shared checks; like every other
-    structural fault, a failure raises `PatternFormatError`.
+    The index block passes the writer's shared checks, and one NumPy pass
+    checks the padding of the whole row block, naming the first dirty
+    row; like every other structural fault, a failure raises
+    `PatternFormatError`.  Each row is then one slice of `data`.
     """
     if len(data) >= 4 and data[:4] != MAGIC:
         raise BadMagicError(f"bad magic {data[:4]!r}")
@@ -174,13 +176,16 @@ def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignV
     if _first_not_increasing(indices) is not None:
         raise PatternFormatError("index block is not strictly increasing")
     pos = HEADER_SIZE + 8 * count
-    rows = []
-    for t, index in enumerate(indices.tolist()):
-        chunk = data[pos + t * row_bytes : pos + (t + 1) * row_bytes]
-        try:
-            rows.append((index, SignVector.from_packed(chunk, length)))
-        except ValueError as exc:
-            raise PatternFormatError(f"row {t}: {exc}") from None
+    pad_mask = (1 << (8 * row_bytes - length)) - 1
+    if pad_mask:  # only rows of n < 3 are padded, and each is one byte
+        bad = np.flatnonzero(np.frombuffer(data, np.uint8, count, pos) & pad_mask)
+        if bad.size:
+            raise PatternFormatError(f"row {bad[0]}: padding bits in the final byte must be zero")
+    starts = range(pos, pos + count * row_bytes, row_bytes)
+    rows = [
+        (index, SignVector(data[start : start + row_bytes], length))
+        for index, start in zip(indices.tolist(), starts)
+    ]
     return PatternFileHeader(n, _CODE_SCHEMES[scheme_code], count), rows
 
 

@@ -12,12 +12,13 @@ import numpy as np
 
 from .core import (
     INDEX_BITS_CAP,
+    ORDER_CAP,
     SignVector,
     _check_index,
     _check_order,
     _index_array,
     _integer,
-    generate_row,
+    _packed_row,
 )
 
 __all__ = [
@@ -42,6 +43,23 @@ class OrderingScheme(enum.Enum):
         return self.value
 
 
+# Every member, by itself and by its value.
+_SCHEMES = {key: scheme for scheme in OrderingScheme for key in (scheme, scheme.value)}
+
+
+def _scheme(value) -> OrderingScheme:
+    """The one scheme rule: value as an `OrderingScheme`, with the Enum's own error.
+
+    A member or its value resolves by one dict lookup; anything else,
+    unhashable values included, goes to `OrderingScheme(value)` and fails
+    there.
+    """
+    try:
+        return _SCHEMES[value]
+    except (KeyError, TypeError):
+        return OrderingScheme(value)
+
+
 def gray_code(k: int) -> int:
     """Reflected binary code of k."""
     return k ^ (k >> 1)
@@ -58,10 +76,20 @@ def bit_reverse(value: int, width: int) -> int:
     value, width = _integer(value, "values"), _integer(width, "bit widths")
     if width < 0:
         raise ValueError(f"bit width must be nonnegative, got {width}")
-    nbytes = (width + 7) // 8
+    # Dyadic order is exactly the bit reversal.
+    return _natural(value & ((1 << width) - 1), width, OrderingScheme.DYADIC)
+
+
+def _natural(k: int, n: int, scheme: OrderingScheme) -> int:
+    """`to_natural` of a checked position k, order exponent n and scheme, checking nothing."""
+    if scheme is OrderingScheme.NATURAL:
+        return k
+    if scheme is OrderingScheme.SEQUENCY:
+        k ^= k >> 1
+    nbytes = (n + 7) // 8
     # Reversed little-endian bytes read big-endian reverse all 8 * nbytes bits.
-    low = (value & ((1 << width) - 1)).to_bytes(nbytes, "little")
-    return int.from_bytes(low.translate(_REVERSED_BYTES), "big") >> (8 * nbytes - width)
+    k = k.to_bytes(nbytes, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(k, "big") >> (8 * nbytes - n)
 
 
 def to_natural(k: int, n: int, scheme: OrderingScheme) -> int:
@@ -69,16 +97,13 @@ def to_natural(k: int, n: int, scheme: OrderingScheme) -> int:
 
     natural is the identity, dyadic bit-reverses the n-bit index, and
     sequency bit-reverses the n-bit Gray code of the index, which sorts
-    rows by their number of sign changes.
+    rows by their number of sign changes.  The scheme, n and k are checked
+    once each; the map is then one shift and XOR for the Gray code and one
+    translation of the index's bytes through the byte table.
     """
-    scheme = OrderingScheme(scheme)
+    scheme = _scheme(scheme)
     n = _check_order(n, INDEX_BITS_CAP)
-    k = _check_index(k, n)
-    if scheme is OrderingScheme.NATURAL:
-        return k
-    if scheme is OrderingScheme.DYADIC:
-        return bit_reverse(k, n)
-    return bit_reverse(gray_code(k), n)
+    return _natural(_check_index(k, n), n, scheme)
 
 
 def to_natural_array(ks, n: int, scheme: OrderingScheme) -> np.ndarray:
@@ -89,7 +114,7 @@ def to_natural_array(ks, n: int, scheme: OrderingScheme) -> np.ndarray:
     per-index Python work is involved; working memory is two int64 arrays.
     Every position is checked against [0, 2^n) first, with `to_natural`'s error.
     """
-    scheme = OrderingScheme(scheme)
+    scheme = _scheme(scheme)
     n = _check_order(n, INDEX_BITS_CAP)
     ks = _index_array(ks, n)
     if scheme is OrderingScheme.NATURAL:
@@ -105,9 +130,19 @@ def to_natural_array(ks, n: int, scheme: OrderingScheme) -> np.ndarray:
 
 
 def generate_ordered_row(k: int, n: int, scheme: OrderingScheme) -> SignVector:
-    """Row at ordered position k of the order-2^n matrix under `scheme`."""
-    row, _ = generate_row(to_natural(k, n, scheme), n)
-    return row
+    """Row at ordered position k of the order-2^n matrix under `scheme`.
+
+    One checked pass from position to packed row: the scheme, n against
+    the index cap, k against [0, 2^n) and n against `ORDER_CAP`, in that
+    order, so every input fails as `generate_row(to_natural(k, n, scheme), n)`
+    would.  Then `to_natural`'s map and `generate_row`'s kernel run with no
+    further check and no counter, at the kernel's memory.
+    """
+    scheme = _scheme(scheme)
+    n = _check_order(n, INDEX_BITS_CAP)
+    k = _check_index(k, n)
+    _check_order(n, ORDER_CAP)
+    return SignVector(_packed_row(_natural(k, n, scheme), n), 1 << n)
 
 
 def sign_changes(row: SignVector) -> int:

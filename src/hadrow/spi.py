@@ -26,7 +26,7 @@ from .core import (
     _integer_array,
     generate_row,
 )
-from .ordering import OrderingScheme, to_natural_array
+from .ordering import OrderingScheme, _scheme, to_natural_array
 from .transform import _divided, _fwht, fwht
 
 __all__ = [
@@ -142,7 +142,7 @@ class MeasurementSet:
         return measured
 
     def _set_columns(self, indices, values, scheme, n, width, height) -> None:
-        object.__setattr__(self, "scheme", OrderingScheme(scheme))
+        object.__setattr__(self, "scheme", _scheme(scheme))
         n = _check_order(n, INDEX_BITS_CAP)
         if width < 1 or height < 1 or width * height != 1 << n:
             raise ValueError(f"sides must be >= 1 with width*height = 2^{n}, got {width}x{height}")

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hadrow import (
     MAX_PIXEL,
     MeasurementSet,
+    direct_row,
     full_matrix,
     generate_ordered_row,
     generate_row,
@@ -27,6 +28,7 @@ from hadrow import (
     read_pgm,
     reconstruct,
     simulate,
+    to_natural,
     write_patterns,
     write_pgm,
 )
@@ -70,9 +72,10 @@ class TestRow:
         assert run("row", "--index", "8", "--n", "3") == 2
         assert "[0, 8)" in capsys.readouterr().err
 
-    def test_verbose_reports_multiplications(self, capsys):
-        assert run("row", "--index", "5", "--n", "4", "--verbose") == 0
-        assert "multiplications: 30" in capsys.readouterr().err
+    @pytest.mark.parametrize("n,expected", [(4, 30), (22, 8388606)])
+    def test_verbose_reports_multiplications(self, capsys, n, expected):
+        assert run("row", "--index", "5", "--n", str(n), "--format", "packed", "--verbose") == 0
+        assert capsys.readouterr().err == f"multiplications: {expected}\n"
 
     def test_ordered_row(self, capsys):
         assert run("row", "--index", "1", "--n", "2", "--ordering", "sequency") == 0
@@ -82,6 +85,16 @@ class TestRow:
         out = tmp_path / "row.bin"
         assert run("row", "--index", "6", "--n", "4", "--format", "packed", "--out", str(out)) == 0
         assert out.read_bytes() == generate_row(6, 4)[0].packed
+
+    @pytest.mark.parametrize("ordering", ["natural", "sequency", "dyadic"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_short_packed_rows_match_the_direct_row(self, tmp_path, n, ordering):
+        # Rows of n < 3 are padded; at n = 3 the row is its first byte alone.
+        out = tmp_path / "row.bin"
+        for k in range(1 << n):
+            argv = ["row", "--index", str(k), "--n", str(n), "--ordering", ordering]
+            assert run(*argv, "--format", "packed", "--out", str(out)) == 0
+            assert out.read_bytes() == direct_row(to_natural(k, n, ordering), n).packed
 
     def test_pbm_requires_even_order(self, capsys):
         assert run("row", "--index", "1", "--n", "3", "--format", "pbm") == 2

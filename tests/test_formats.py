@@ -173,6 +173,20 @@ class TestReadPatterns:
         with pytest.raises(PatternFormatError):
             read_patterns(bytes(data))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_first_dirty_row_is_named(self, n, where):
+        # Every row of n < 3 is one byte, its low 8 - 2^n bits padding.
+        count = 1 << n
+        t = {"first": 0, "middle": count // 2, "last": count - 1}[where]
+        data = bytearray(write_patterns(_rows_for(n, range(count)), n, OrderingScheme.NATURAL))
+        rows_at = HEADER_SIZE + 8 * count
+        data[rows_at + t] |= 1 << (8 - (1 << n) - 1)  # the highest pad bit
+        data[-1] |= 1  # and the last row's lowest, so only the first is named
+        message = rf"^row {t}: padding bits in the final byte must be zero$"
+        with pytest.raises(PatternFormatError, match=message):
+            read_patterns(bytes(data))
+
 
 class TestExportRowText:
     def test_csv(self):

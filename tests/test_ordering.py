@@ -1,6 +1,7 @@
 """Tests for the natural, sequency, and dyadic index permutations."""
 
 import gc
+import io
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,14 @@ from hypothesis import strategies as st
 
 from hadrow import (
     IndexRangeError,
+    MeasurementSet,
+    OrderError,
     OrderingScheme,
+    PatternWriter,
     bit_reverse,
     direct_row,
     generate_ordered_row,
+    generate_row,
     gray_code,
     sign_changes,
     SignVector,
@@ -177,11 +182,51 @@ def test_scheme_coercion_from_token():
 
 
 @pytest.mark.parametrize("scheme", ["walsh", "SEQUENCY", None, ["sequency"], {"a": 1}])
-@pytest.mark.parametrize("mapper", [to_natural, to_natural_array])
-def test_unknown_scheme_raises_the_enum_error(mapper, scheme):
-    # Both mappers raise the Enum's own error, for unhashable inputs too.
+@pytest.mark.parametrize(
+    "takes_scheme",
+    [
+        lambda s: to_natural(3, 2, s),
+        lambda s: to_natural_array([3], 2, s),
+        lambda s: generate_ordered_row(3, 2, s),
+        lambda s: PatternWriter(io.BytesIO(), [3], 2, s),
+        lambda s: MeasurementSet(((3, 1),), s, 2, 2, 2),
+    ],
+    ids=["to_natural", "to_natural_array", "generate_ordered_row", "writer", "measurements"],
+)
+def test_unknown_scheme_raises_the_enum_error(takes_scheme, scheme):
+    # Every scheme argument raises the Enum's own error, for unhashable inputs too.
     with pytest.raises(ValueError, match="is not a valid OrderingScheme"):
-        mapper(3, 2, scheme)
+        takes_scheme(scheme)
+
+
+def _outcome(call):
+    """The error class and message `call` raises, or its result."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("scheme", [*ALL_SCHEMES, "bogus", ["sequency"]], ids=str)
+@pytest.mark.parametrize("n", [0, 31, 40, 62, 63])
+@pytest.mark.parametrize("k", [-1, "2**n", True, 2.0, np.int64(5)], ids=repr)
+def test_ordered_row_fails_as_its_two_step_composition(scheme, n, k):
+    # The scheme, n against the index cap, k, then n against ORDER_CAP:
+    # the order the two-step composition has always checked in.
+    k = 1 << n if isinstance(k, str) else k
+    got = _outcome(lambda: generate_ordered_row(k, n, scheme))
+    assert isinstance(got, tuple)
+    assert got == _outcome(lambda: generate_row(to_natural(k, n, scheme), n)[0])
+
+
+def test_ordered_row_error_order_examples():
+    with pytest.raises(IndexRangeError, match=r"\[0, 1099511627776\)"):
+        generate_ordered_row(2**40, 40, "sequency")
+    with pytest.raises(OrderError, match=r"\[1, 30\], got 40"):
+        generate_ordered_row(5, 40, "sequency")
+    for n in (0, 63):
+        with pytest.raises(OrderError, match=rf"\[1, 62\], got {n}"):
+            generate_ordered_row(0, n, "sequency")
 
 
 def test_index_out_of_range():
@@ -192,10 +237,12 @@ def test_index_out_of_range():
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-@pytest.mark.parametrize("n", range(13, 25))
+@pytest.mark.parametrize("n", range(1, 25))
 def test_ordered_rows_match_the_direct_row(scheme, n):
+    # Every position up to n = 12, random ones beyond.
     rng = np.random.default_rng(n)
-    for k in map(int, rng.integers(0, 1 << n, size=4 if n <= 20 else 1)):
+    ks = range(1 << n) if n <= 12 else map(int, rng.integers(0, 1 << n, size=4 if n <= 20 else 1))
+    for k in ks:
         expected = direct_row(to_natural(k, n, scheme), n)
         assert generate_ordered_row(k, n, scheme) == expected
 
@@ -231,3 +278,20 @@ def test_array_map_range_and_type_errors():
     with pytest.raises(TypeError):
         to_natural_array([0.0], 2, OrderingScheme.NATURAL)
     assert to_natural_array([], 2, OrderingScheme.DYADIC).size == 0
+
+
+@pytest.mark.parametrize("n", range(20, 27))
+def test_ordered_row_peaks_within_the_kernel_bound(n):
+    # generate_row's bound: 1.05 bits per entry plus the two 4 KiB stripes.
+    k = (1 << n) - 3
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        row = generate_ordered_row(k, n, "sequency")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(row.packed) == (1 << n) // 8
+    assert 8 * (peak - baseline - 2 * 4096) <= 1.05 * (1 << n)

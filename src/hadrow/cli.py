@@ -65,9 +65,11 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 # dominates at small orders.
 BATCH_CHUNK_BYTES = 1 << 20
 _INDEX_WORK_BYTES = 64
-# `simulate` formats this many CSV rows per write, so neither its text
-# nor the Python ints it is formatted from ever exist whole: about 40 KiB
-# per block, and smaller blocks measured no slower down to 128 rows.
+# `simulate` formats this many CSV rows per write from slices of the set's
+# two columns, so its text, the Python ints it is formatted from and any
+# interleaved copy of the columns exist a block at a time, never whole:
+# about 40 KiB per block, and smaller blocks measured no slower down to
+# 128 rows.
 _CSV_BLOCK_ROWS = 1 << 8
 # The only bytes of a plain measurement data line (see _plain_rows).
 _PLAIN_BYTES = b"0123456789-,\n"
@@ -236,12 +238,13 @@ def cmd_simulate(args) -> int:
         ordered = _parse_indices(args.indices, scene.n)
     measured = simulate(scene, ordered, scheme)
     settings = " ".join(f"{key}={getattr(measured, key)}" for key in _HEADER_FIELDS)
-    rows = np.stack((measured._indices, measured._values), axis=1)
     with _output(args.out) as fh:
         fh.write(f"# hadrow {settings}\n".encode("ascii"))
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            fields = rows[start : start + _CSV_BLOCK_ROWS].ravel().tolist()
-            fh.write(b"%d,%d\n" * (len(fields) // 2) % tuple(fields))
+        for start in range(0, measured._indices.size, _CSV_BLOCK_ROWS):
+            ks = measured._indices[start : start + _CSV_BLOCK_ROWS].tolist()
+            fields = ks + ks
+            fields[::2], fields[1::2] = ks, measured._values[start : start + len(ks)].tolist()
+            fh.write(b"%d,%d\n" * len(ks) % tuple(fields))
     return EXIT_OK
 
 
@@ -389,6 +392,9 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     rng = Random(20240)
+    # A caller's tracemalloc session is used as it is and left running;
+    # only its peak is reset.  Otherwise tracing runs only around each peak.
+    own_tracing = not tracemalloc.is_tracing()
     lines = ["n,seconds,multiplications,predicted,peak_bytes"]
     for n in range(args.n_min, args.n_max + 1):
         indices = [rng.randrange(1 << n) for _ in range(args.repeats)]
@@ -399,12 +405,14 @@ def cmd_bench(args) -> int:
             _, counter = generate_row(i, n)
             times.append(time.perf_counter() - start)
             mults = counter.multiplications
-        tracemalloc.start()
+        if own_tracing:
+            tracemalloc.start()
         baseline, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         generate_row(indices[0], n)
         _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        if own_tracing:
+            tracemalloc.stop()
         lines.append(
             f"{n},{statistics.median(times):.9f},{mults},{predicted_cost(n)},{peak - baseline}"
         )

@@ -168,7 +168,7 @@ class SignVector:
     @classmethod
     def from_packed(cls, data, length: int) -> "SignVector":
         """Rehydrate from packed storage produced by `.packed`."""
-        return cls(bytes(data), length)
+        return cls(data, length)
 
     @classmethod
     def _pack(cls, signs: np.ndarray) -> "SignVector":
@@ -371,18 +371,18 @@ def generate_rows(naturals, n: int) -> tuple[np.ndarray, OpCounter]:
     NumPy pass XORs the first half of every row into its second half
     with a per-row mask that is 0xFF where digit b of that row's index
     is 1, giving the copy or the bitwise complement.  Padding bits of
-    orders below 3 stay zero.  Each row is charged 2^(n+1) - 2
-    multiplications, as `generate_row` charges it, so the counter reads
-    count * predicted_cost(n).  Working memory is the block plus 32 mask
-    bytes and a few int64 copies of the index per row, so a caller
-    bounds it by how many rows it asks for at once.
+    orders below 3 stay zero.  As in `generate_row`, the counter is not
+    counted as the kernel runs: it is charged once per call, count *
+    (2^(n+1) - 2), so it reads count * predicted_cost(n).  Working memory
+    is the block plus 32 mask bytes and a few int64 copies of the index
+    per row, so a caller bounds it by how many rows it asks for at once.
     """
     n = _check_order(n, ORDER_CAP)
     naturals = _index_array(naturals, n)
     count = naturals.size
     low = min(n, 3)
     counter = OpCounter()
-    counter.add(count * ((2 << low) - 2))
+    counter.add(count * ((2 << n) - 2))
     out = np.empty((count, 1 << (n - low)), dtype=np.uint8)
     first_bytes = np.frombuffer(_FIRST_BYTES, dtype=np.uint8)
     out[:, 0] = first_bytes[naturals & 7] & ((0xFF00 >> (1 << low)) & 0xFF)
@@ -392,7 +392,6 @@ def generate_rows(naturals, n: int) -> tuple[np.ndarray, OpCounter]:
     masks = np.unpackbits(as_bytes, axis=1, bitorder="little")
     masks *= 0xFF
     for b in range(low, n):
-        counter.add(count * (2 << b))
         half = 1 << (b - 3)
         np.bitwise_xor(out[:, :half], masks[:, b : b + 1], out=out[:, half : 2 * half])
     return out, counter

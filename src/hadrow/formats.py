@@ -159,10 +159,10 @@ def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignV
         raise PatternFormatError(f"unknown ordering scheme code {scheme_code}")
     if reserved != 0:
         raise PatternFormatError(f"reserved byte must be zero, got {reserved}")
-    length = 1 << n
+    header = PatternFileHeader(n, _CODE_SCHEMES[scheme_code], count)
+    length, row_bytes = 1 << n, header.row_bytes()
     if count > length:
         raise PatternFormatError(f"count {count} exceeds 2^{n} rows")
-    row_bytes = (length + 7) // 8
     need = HEADER_SIZE + count * (8 + row_bytes)
     if len(data) < need:
         raise TruncatedStreamError(f"stream has {len(data)} bytes, header promises {need}")
@@ -186,7 +186,7 @@ def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignV
         (index, SignVector(data[start : start + row_bytes], length))
         for index, start in zip(indices.tolist(), starts)
     ]
-    return PatternFileHeader(n, _CODE_SCHEMES[scheme_code], count), rows
+    return header, rows
 
 
 def export_row_text(row: SignVector, fmt: str) -> str:
@@ -194,6 +194,9 @@ def export_row_text(row: SignVector, fmt: str) -> str:
 
     PBM reshapes the row row-major into a 2^(n/2) square, mapping +1 to
     `0` (white) and -1 to `1` (black), so the all-plus row renders blank.
+    Those are the packed bits themselves: one NumPy pass adds `ord("0")`
+    to the unpacked bits inside an ASCII raster whose last column is the
+    newline, and the raster is decoded once.
     """
     if fmt == "csv":
         return ",".join(str(v) for v in row.to_numpy().tolist()) + "\n"
@@ -202,10 +205,9 @@ def export_row_text(row: SignVector, fmt: str) -> str:
         if n % 2:
             raise ValueError(f"pbm needs an even order exponent for a square reshape, got n={n}")
         side = 1 << (n // 2)
-        bits = (row.to_numpy() == -1).astype(np.uint8)
-        lines = (
-            "".join("1" if bit else "0" for bit in bits[r * side : (r + 1) * side].tolist())
-            for r in range(side)
-        )
-        return f"P1\n{side} {side}\n" + "\n".join(lines) + "\n"
+        raster = np.full((side, side + 1), ord("\n"), dtype=np.uint8)
+        bits = np.unpackbits(np.frombuffer(row.packed, np.uint8), count=len(row))
+        np.add(bits.reshape(side, side), ord("0"), out=raster[:, :side])
+        del bits  # freed before the text is made, so the peak is 3 bytes per entry
+        return f"P1\n{side} {side}\n" + str(raster, "ascii")
     raise ValueError(f"unknown export format {fmt!r}")

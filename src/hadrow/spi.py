@@ -23,6 +23,7 @@ from .core import (
     _check_order,
     _first_not_increasing,
     _index_array,
+    _integer,
     _integer_array,
     generate_row,
 )
@@ -60,8 +61,9 @@ def _is_pow2(value: int) -> bool:
 class Scene:
     """Row-major nonnegative integer image with power-of-two dimensions.
 
-    Pixels must pass core's integer rule (TypeError for a float or a
-    bool) and lie in [0, MAX_PIXEL].
+    Pixels and both sides must pass core's integer rule (TypeError for a
+    float or a bool), and the sides are stored as Python ints; pixels
+    must lie in [0, MAX_PIXEL].
     """
 
     pixels: np.ndarray
@@ -69,6 +71,8 @@ class Scene:
     height: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "width", _integer(self.width, "scene sides"))
+        object.__setattr__(self, "height", _integer(self.height, "scene sides"))
         if not (_is_pow2(self.width) and _is_pow2(self.height)):
             raise ValueError(
                 f"scene dimensions must be powers of two, got {self.width}x{self.height}"
@@ -105,6 +109,7 @@ class MeasurementSet:
     Each entry must be one (index, value) pair (ValueError otherwise),
     both under core's integer rule (TypeError for a non-integer, a bool or
     a sequence), and n must lie in [1, INDEX_BITS_CAP] (`OrderError`).
+    Both sides pass the same rule and must multiply to 2^n (ValueError).
     The indices pass core's shared checks: `IndexRangeError` for one
     outside [0, 2^n), `DuplicateIndexError` unless they strictly increase
     once sorted.  Equality and hashing follow the entries and the context.
@@ -144,6 +149,7 @@ class MeasurementSet:
     def _set_columns(self, indices, values, scheme, n, width, height) -> None:
         object.__setattr__(self, "scheme", _scheme(scheme))
         n = _check_order(n, INDEX_BITS_CAP)
+        width, height = _integer(width, "scene sides"), _integer(height, "scene sides")
         if width < 1 or height < 1 or width * height != 1 << n:
             raise ValueError(f"sides must be >= 1 with width*height = 2^{n}, got {width}x{height}")
         ks = _index_array(indices, n)
@@ -346,9 +352,9 @@ def read_pgm(data: bytes) -> Scene:
 def write_pgm(image, maxval: int | None = None, binary: bool = True) -> bytes:
     """Encode a Scene or (height, width) array as P5 (binary) or P2 (text).
 
-    Pixels pass core's integer rule: TypeError for a float or a bool, so
-    round and cast an estimate first.  An integer array is read as it is.
-    An empty image raises ValueError: no graymap has a zero side.
+    Pixels and maxval pass core's integer rule: TypeError for a float or a
+    bool, so round and cast an estimate first.  An integer array is read
+    as it is.  An empty image raises ValueError: no graymap has a zero side.
     """
     if isinstance(image, Scene):
         image = image.reshaped()
@@ -361,6 +367,7 @@ def write_pgm(image, maxval: int | None = None, binary: bool = True) -> bytes:
         raise ValueError("pixels must be nonnegative")
     if maxval is None:
         maxval = 255 if highest <= 255 else MAX_PIXEL
+    maxval = _integer(maxval, "maxvals")
     if not 0 < maxval <= MAX_PIXEL:
         raise ValueError(f"maxval must be in [1, {MAX_PIXEL}], got {maxval}")
     if highest > maxval:

@@ -109,6 +109,12 @@ class TestRow:
         monkeypatch.setenv("HADROW_MAX_N", "banana")
         assert run("row", "--index", "0", "--n", "2") == 2
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_var_must_be_positive(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HADROW_MAX_N", value)
+        assert run("row", "--index", "0", "--n", "2") == 2
+        assert capsys.readouterr().err == f"error: HADROW_MAX_N must be positive, got {value}\n"
+
     def test_env_var_cannot_raise_the_cap(self, monkeypatch):
         monkeypatch.setenv("HADROW_MAX_N", "40")
         assert run("row", "--index", "0", "--n", "31") == 2
@@ -244,6 +250,24 @@ class TestVerify:
     def test_cap_guard(self, capsys):
         assert run("verify", "--n-max", "20") == 2
         assert "oracle" in capsys.readouterr().err
+
+    def test_n_max_above_the_env_cap_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("HADROW_MAX_N", "3")
+        assert run("verify", "--n-max", "4") == 2
+        assert capsys.readouterr().err == "error: --n-max 4 exceeds the HADROW_MAX_N cap 3\n"
+
+    def test_a_wrong_row_is_a_fail_row_and_exit_1(self, capsys, monkeypatch):
+        # Row 0 in place of every row breaks the oracle and orthogonality suites only.
+        def row_zero(i, n):
+            return generate_row(0, n)[0], generate_row(i, n)[1]
+
+        monkeypatch.setattr(cli, "generate_row", row_zero)
+        assert run("verify", "--n-max", "2") == 1
+        out = capsys.readouterr().out.splitlines()
+        failed = [line.split()[:2] for line in out if line.endswith("FAIL")]
+        assert failed == [["oracle-equivalence", "n=1"], ["oracle-equivalence", "n=2"],
+                          ["orthogonality", "n=1"], ["orthogonality", "n=2"]]
+        assert out[-1] == "4 check(s) FAILED"
 
 
 class TestSimulateReconstruct:
@@ -520,7 +544,7 @@ class TestReconstructSettings:
 
 
 class TestMeasurementMemory:
-    """Full sampling at n = 16 (256x256): bytes held per measured entry."""
+    """Full sampling at n = 16 (256x256) and n = 10 (32x32): traced peaks."""
 
     @pytest.fixture
     def scene(self, tmp_path):
@@ -539,6 +563,22 @@ class TestMeasurementMemory:
         measured = simulate(read_pgm(scene.read_bytes()), range(1 << 16), "sequency")
         body = "".join(f"{k},{y}\n" for k, y in measured.entries)
         expected = "# hadrow n=16 scheme=sequency width=256 height=256\n" + body
+        assert csv.read_bytes() == expected.encode("ascii")
+
+    @pytest.mark.parametrize("scheme", ["natural", "sequency", "dyadic"])
+    def test_simulate_csv_makes_no_copy_of_the_columns(self, tmp_path, scheme):
+        # spi-roundtrip's case: 32x32 at full sampling, where the CSV step once
+        # stacked the set's two int64 columns into a whole (1024, 2) copy.
+        image, csv = tmp_path / "scene.pgm", tmp_path / "m.csv"
+        image.write_bytes(write_pgm(np.random.default_rng(32).integers(0, 65536, size=(32, 32))))
+        peak = _traced_peak("simulate", "--image", str(image), "--ordering", scheme,
+                            "--out", str(csv))
+        # The stacked copy peaked at about 97 KiB; without it the transform sets
+        # the peak, at about 75 KiB.
+        assert peak <= 86 * 1024, peak
+        measured = simulate(read_pgm(image.read_bytes()), range(1024), scheme)
+        body = "".join(f"{k},{y}\n" for k, y in measured.entries)
+        expected = f"# hadrow n=10 scheme={scheme} width=32 height=32\n" + body
         assert csv.read_bytes() == expected.encode("ascii")
 
     def test_reconstruct_peak_per_entry(self, tmp_path, scene):
@@ -807,6 +847,27 @@ class TestBench:
 
     def test_empty_range_is_usage_error(self, capsys):
         assert run("bench", "--n-min", "5", "--n-max", "4") == 2
+
+    def test_zero_repeats_is_usage_error(self, capsys):
+        assert run("bench", "--n-min", "2", "--n-max", "3", "--repeats", "0") == 2
+        assert capsys.readouterr().err == "error: --repeats must be >= 1, got 0\n"
+
+    def test_leaves_a_callers_tracemalloc_session_running(self, capsys):
+        tracemalloc.start()
+        try:
+            assert run("bench", "--n-min", "10", "--n-max", "11", "--repeats", "1") == 0
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        for line, n in zip(lines, (10, 11), strict=True):
+            # The row's peak is measured in the caller's session as in bench's own.
+            assert int(line.split(",")[-1]) >= (1 << n) // 8
+
+    def test_stops_the_tracing_it_started(self, capsys):
+        assert not tracemalloc.is_tracing()
+        assert run("bench", "--n-min", "4", "--n-max", "4", "--repeats", "1") == 0
+        assert not tracemalloc.is_tracing()
 
 
 def test_unknown_subcommand_exits_2():

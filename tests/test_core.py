@@ -80,6 +80,10 @@ class TestDec2Bin:
         with pytest.raises(ValueError):
             BitString((0, 2), 2, 2)
 
+    def test_bitstring_rejects_a_width_mismatch(self):
+        with pytest.raises(ValueError, match="^width 3 does not match 2 digits$"):
+            BitString((1, 0), 2, 3)
+
 
 sign_lists = st.integers(0, 8).flatmap(
     lambda k: st.lists(st.sampled_from([1, -1]), min_size=1 << k, max_size=1 << k)
@@ -169,6 +173,26 @@ class TestSignVector:
 
     def test_order_property(self):
         assert generate_row(0, 5)[0].order == 5
+
+    def test_rejects_a_length_that_is_not_a_power_of_two(self):
+        with pytest.raises(ValueError, match="^length must be a power of two, got 3$"):
+            SignVector(b"\x00", 3)
+
+    @pytest.mark.parametrize("values", [[], [[1, -1], [-1, 1]]], ids=["empty", "2-d"])
+    def test_from_signs_rejects_empty_and_2d_input(self, values):
+        with pytest.raises(ValueError, match="non-empty 1-d sequence"):
+            SignVector.from_signs(values)
+
+    @pytest.mark.parametrize("data", [bytearray(b"\x40"), memoryview(b"\x40"), np.uint8([0x40])])
+    def test_from_packed_stores_any_bytes_like_as_bytes(self, data):
+        vec = SignVector.from_packed(data, 2)
+        assert type(vec.packed) is bytes
+        assert vec == SignVector.from_signs([1, -1])
+
+    def test_repr_lists_short_rows_and_sizes_long_ones(self):
+        assert repr(SignVector.from_signs([1, -1, -1, 1])) == "SignVector([1,-1,-1,1])"
+        assert repr(generate_row(6, 4)[0]) == f"SignVector([{','.join(map(str, GOLDEN_ROW_6_N4))}])"
+        assert repr(generate_row(6, 5)[0]) == "SignVector(length=32)"
 
 
 class TestKron:
@@ -331,6 +355,20 @@ class TestGenerateRows:
         block, _ = generate_rows(naturals, 20)
         for i, packed in zip(naturals, block):
             assert packed.tobytes() == generate_row(i, 20)[0].packed
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 12])
+    def test_counter_is_charged_once_per_call(self, n, monkeypatch):
+        charges = []
+        add = OpCounter.add
+
+        def recording_add(self, count):
+            charges.append(count)
+            add(self, count)
+
+        monkeypatch.setattr(OpCounter, "add", recording_add)
+        _, counter = generate_rows([0, 1, (1 << n) - 1], n)
+        assert charges == [3 * predicted_cost(n)]
+        assert counter.multiplications == 3 * predicted_cost(n)
 
     def test_empty_block(self):
         block, counter = generate_rows([], 5)

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hadrow import (
     BadMagicError,
@@ -13,6 +15,7 @@ from hadrow import (
     SignVector,
     TruncatedStreamError,
     UnsupportedVersionError,
+    direct_row,
     export_row_text,
     full_matrix,
     generate_row,
@@ -119,6 +122,11 @@ class TestReadPatterns:
             # rewrite is byte-identical
             assert write_patterns(back, header.n, header.scheme) == data
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+    def test_header_row_bytes_is_each_row_size(self, n):
+        header, rows = read_patterns(write_patterns(_rows_for(n, [0, (1 << n) - 1]), n, "natural"))
+        assert header.row_bytes() == len(rows[0][1].packed) == ((1 << n) + 7) // 8
+
     def test_recovers_order_two_example(self):
         data = write_patterns(_rows_for(1, [1]), 1, OrderingScheme.NATURAL)
         _, rows = read_patterns(data)
@@ -206,6 +214,24 @@ class TestExportRowText:
     def test_pbm_golden_row(self):
         text = export_row_text(generate_row(6, 4)[0], "pbm")
         assert text == "P1\n4 4\n0011\n1100\n0011\n1100\n"
+
+    @given(st.integers(1, 7).flatmap(lambda h: st.tuples(st.integers(0, 4**h - 1), st.just(2 * h))))
+    def test_pbm_matches_text_built_from_the_direct_row(self, case):
+        i, n = case
+        side = 1 << (n // 2)
+        signs = direct_row(i, n).to_numpy().tolist()
+        lines = (
+            "".join("1" if v == -1 else "0" for v in signs[r * side : (r + 1) * side]) + "\n"
+            for r in range(side)
+        )
+        expected = f"P1\n{side} {side}\n" + "".join(lines)
+        # A bare bool: pytest's diff of two 2^14-pixel bitmaps would dwarf the test.
+        same = export_row_text(generate_row(i, n)[0], "pbm") == expected
+        assert same, (i, n)
+
+    def test_pbm_of_a_one_entry_row(self):
+        assert export_row_text(SignVector(b"\x00", 1), "pbm") == "P1\n1 1\n0\n"
+        assert export_row_text(SignVector(b"\x80", 1), "pbm") == "P1\n1 1\n1\n"
 
     def test_pbm_rejects_odd_order(self):
         with pytest.raises(ValueError):

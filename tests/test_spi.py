@@ -89,6 +89,20 @@ class TestScene:
         with pytest.raises(ValueError, match=r"\[0, 65535\]"):
             Scene([big, 0, 0, 0], 2, 2)
 
+    @pytest.mark.parametrize(
+        "size,width,height",
+        [(1, True, True), (4, 2.0, 2), (4, 2, 2.0), (4, np.float64(2), 2), (2, 2, np.True_)],
+    )
+    def test_rejects_bool_and_float_sides(self, size, width, height):
+        # Two bool sides once passed as 1 x 1, giving an n = 0 scene.
+        with pytest.raises(TypeError):
+            Scene(np.zeros(size, dtype=np.int64), width, height)
+
+    def test_numpy_integer_sides_are_stored_as_python_ints(self):
+        scene = Scene(np.zeros(8, dtype=np.int64), np.int64(4), np.uint8(2))
+        assert (scene.width, scene.height, scene.n) == (4, 2, 3)
+        assert type(scene.width) is int and type(scene.height) is int
+
     def test_shape_errors_come_before_pixel_type_errors(self):
         with pytest.raises(ValueError, match="powers of two"):
             Scene(np.zeros(12), 3, 4)
@@ -353,6 +367,33 @@ class TestReconstruct:
         assert measured != MeasurementSet(measured.entries[::-1], "dyadic", 4, 4, 4)
         assert measured.indices() == [3, 0, 9]
 
+    @pytest.mark.parametrize(
+        "width,height", [(2.0, 2), (2, 2.0), (True, 4), (4, np.True_), (np.float64(2), 2)]
+    )
+    def test_bool_and_float_sides_rejected(self, width, height):
+        # A float side was once accepted, and reconstruct then failed in reshape.
+        with pytest.raises(TypeError):
+            MeasurementSet([(0, 4)], "natural", 2, width, height)
+
+    def test_numpy_integer_sides_become_python_ints(self):
+        measured = MeasurementSet([(0, 4)], "natural", 2, np.int32(2), np.uint64(2))
+        assert (measured.width, measured.height) == (2, 2)
+        assert type(measured.width) is int and type(measured.height) is int
+        assert reconstruct(measured).shape == (2, 2)
+
+    def test_repr_names_the_entries_and_context(self):
+        measured = MeasurementSet([(1, -2), (0, 10)], "sequency", 2, 4, 1)
+        assert repr(measured) == (
+            "MeasurementSet(entries=((1, -2), (0, 10)), scheme=<OrderingScheme.SEQUENCY: "
+            "'sequency'>, n=2, width=4, height=1)"
+        )
+
+    def test_equality_against_another_type_is_not_implemented(self):
+        measured = MeasurementSet([(0, 4)], "natural", 2, 2, 2)
+        assert measured.__eq__(((0, 4),)) is NotImplemented
+        assert measured != ((0, 4),)
+        assert measured != object()
+
     def test_numpy_integer_entries_become_python_ints(self):
         measured = MeasurementSet(((np.int64(3), np.uint16(7)),), "natural", 2, 2, 2)
         assert measured.entries == ((3, 7),)
@@ -459,6 +500,32 @@ class TestPgm:
     def test_write_rejects_non_integer_pixels(self, image):
         with pytest.raises(TypeError):
             write_pgm(image)
+
+    @pytest.mark.parametrize("maxval", [True, np.True_, 1.5, 2.0, np.float64(255)])
+    def test_write_rejects_bool_and_float_maxval(self, maxval):
+        # Each once wrote a header ("True", "1.5", "2.0") that read_pgm refuses.
+        with pytest.raises(TypeError):
+            write_pgm(np.zeros((2, 2), dtype=np.int64), maxval=maxval)
+
+    def test_write_takes_a_numpy_integer_maxval(self):
+        data = write_pgm(np.ones((2, 2), dtype=np.int64), maxval=np.int64(7))
+        assert data == write_pgm(np.ones((2, 2), dtype=np.int64), maxval=7)
+        assert data.startswith(b"P5\n2 2\n7\n")
+        assert read_pgm(data).pixels.tolist() == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "image,maxval,message",
+        [
+            ([[0, -1]], None, "^pixels must be nonnegative$"),
+            ([[0, 1]], 0, r"^maxval must be in \[1, 65535\], got 0$"),
+            ([[0, 1]], 65536, r"^maxval must be in \[1, 65535\], got 65536$"),
+            ([[0, 11]], 10, "^pixel exceeds maxval$"),
+            ([[0, 70000]], None, "^pixel exceeds maxval$"),
+        ],
+    )
+    def test_write_rejects_pixels_and_maxvals_out_of_range(self, image, maxval, message):
+        with pytest.raises(ValueError, match=message):
+            write_pgm(np.array(image), maxval=maxval)
 
     def test_text_round_trip(self):
         scene = Scene(np.arange(16), 4, 4)

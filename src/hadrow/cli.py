@@ -24,16 +24,21 @@ from random import Random
 import numpy as np
 
 from .core import (
+    BASE_MATRIX,
     FULL_MATRIX_CAP,
     ORDER_CAP,
+    OpCounter,
+    SignVector,
     _check_order,
+    dec2bin,
     direct_row,
     full_matrix,
     generate_row,
     generate_rows,
+    kron,
     predicted_cost,
 )
-from .formats import PatternFormatError, PatternWriter, export_row_text
+from .formats import _ROW_FORMATS, PatternFormatError, PatternWriter, _row_pieces
 from .ordering import (
     OrderingScheme,
     _scheme,
@@ -148,14 +153,10 @@ def cmd_row(args) -> int:
     _check_order(args.n, _order_cap())
     row = generate_ordered_row(args.index, args.n, args.ordering)
     if args.verbose:
-        # What generate_row's counter is charged for the row.
         print(f"multiplications: {predicted_cost(args.n)}", file=sys.stderr)
-    if args.format == "packed":
-        data = row.packed
-    else:
-        data = export_row_text(row, args.format).encode("ascii")
+    pieces = _row_pieces(row, args.format)  # a refused format opens no --out file
     with _output(args.out) as fh:
-        fh.write(data)
+        fh.writelines(pieces)
     return EXIT_OK
 
 
@@ -211,11 +212,15 @@ def cmd_verify(args) -> int:
 
     rng = Random(0x5EED)
     for n in range(1, n_max + 1):
-        expected = predicted_cost(n)
-        counts = {
-            generate_row(rng.randrange(1 << n), n)[1].multiplications for _ in range(10)
-        }
-        emit("counter-law", f"C({n}) = {expected}", counts == {expected})
+        expected, ok = predicted_cost(n), True
+        for i in (rng.randrange(1 << n) for _ in range(10)):
+            # The paper's chain [1] (x) B[d1] (x) ... (x) B[dn], each product counted by kron.
+            counter, chain = OpCounter(), SignVector.from_signs([1])
+            for digit in dec2bin(i, n).digits:
+                chain = kron(chain, BASE_MATRIX.row(digit), counter)
+            ok &= chain == direct_row(i, n) and counter.multiplications == expected
+            ok &= generate_row(i, n)[1].multiplications == expected
+        emit("counter-law", f"C({n}) = {expected}", ok)
 
     for n in range(1, min(n_max, 10) + 1):
         ok = all(
@@ -392,8 +397,8 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     rng = Random(20240)
-    # A caller's tracemalloc session is used as it is and left running;
-    # only its peak is reset.  Otherwise tracing runs only around each peak.
+    # A caller's tracemalloc session is left running, but its peak is reset
+    # and lost to the caller.  Otherwise tracing runs only around each peak.
     own_tracing = not tracemalloc.is_tracing()
     lines = ["n,seconds,multiplications,predicted,peak_bytes"]
     for n in range(args.n_min, args.n_max + 1):
@@ -434,9 +439,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, required=True, help="ordered row index")
     p.add_argument("--n", type=int, required=True, help="order exponent; rows have 2^n entries")
     p.add_argument("--ordering", choices=_SCHEME_NAMES, default="natural")
-    p.add_argument("--format", choices=["csv", "pbm", "packed"], default="csv")
+    p.add_argument("--format", choices=_ROW_FORMATS, default="csv")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--verbose", action="store_true", help="print multiplication count to stderr")
+    verbose = "print the row's predicted multiplication count, 2^(n+1) - 2, to stderr"
+    p.add_argument("--verbose", action="store_true", help=verbose)
     p.set_defaults(func=cmd_row)
 
     p = sub.add_parser("batch", help="write a HADP pattern file for many rows")
@@ -490,7 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=None, help=derived.format("width"))
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("bench", help="time row generation and report counts and memory")
+    p = sub.add_parser("bench", help="time row generation and report counts and memory; resets "
+                       "the peak of a caller's tracemalloc session, which it leaves tracing")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--repeats", type=int, default=3, help="timing repeats per order (median)")

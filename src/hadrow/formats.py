@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import INDEX_BITS_CAP, SignVector, _check_order, _first_not_increasing, _index_array
+from .core import _STRIPE_BITS
 from .ordering import OrderingScheme, _scheme
 
 __all__ = [
@@ -40,6 +41,7 @@ _SCHEME_CODES = {
     OrderingScheme.DYADIC: 2,
 }
 _CODE_SCHEMES = {code: scheme for scheme, code in _SCHEME_CODES.items()}
+_ROW_FORMATS = ("csv", "pbm", "packed")  # what `hadrow row --format` writes
 
 
 class PatternFormatError(ValueError):
@@ -194,20 +196,39 @@ def export_row_text(row: SignVector, fmt: str) -> str:
 
     PBM reshapes the row row-major into a 2^(n/2) square, mapping +1 to
     `0` (white) and -1 to `1` (black), so the all-plus row renders blank.
-    Those are the packed bits themselves: one NumPy pass adds `ord("0")`
-    to the unpacked bits inside an ASCII raster whose last column is the
-    newline, and the raster is decoded once.
     """
+    if fmt == "packed":  # bytes, not text
+        raise ValueError(f"unknown export format {fmt!r}")
+    return b"".join(_row_pieces(row, fmt)).decode("ascii")
+
+
+def _row_pieces(row: SignVector, fmt: str) -> list[bytes]:
+    """`row` in `fmt` as byte pieces to write in order; packed is the row's bytes.
+
+    csv and pbm render each distinct 2^15-entry stripe of the packed row once
+    (a Sylvester row has two, a stripe and its negation) and list references.
+    """
+    if fmt not in _ROW_FORMATS:
+        raise ValueError(f"unknown export format {fmt!r}")
+    n = row.order
+    if fmt == "pbm" and n % 2:
+        raise ValueError(f"pbm needs an even order exponent for a square reshape, got n={n}")
+    if fmt == "packed":
+        return [row.packed]
+    side = 1 << (n // 2)
+    step = max(1 << (_STRIPE_BITS - 3), side // 8)  # bytes per stripe, whole raster lines
+    texts: dict[bytes, bytes] = {}
+    pieces = [b"P1\n%d %d\n" % (side, side)] if fmt == "pbm" else []
+    for start in range(0, len(row.packed), step):
+        stripe = row.packed[start : start + step]
+        if stripe not in texts:
+            bits = np.unpackbits(np.frombuffer(stripe, np.uint8))[: len(row)]
+            if fmt == "csv":  # each entry and a comma
+                texts[stripe] = bits.tobytes().replace(b"\1", b"-1,").replace(b"\0", b"1,")
+            else:  # lines of the bits plus ord("0"), each ended by a newline
+                lines = bits.reshape(-1, side) + ord("0")
+                texts[stripe] = np.pad(lines, ((0, 0), (0, 1)), constant_values=ord("\n")).tobytes()
+        pieces.append(texts[stripe])
     if fmt == "csv":
-        return ",".join(str(v) for v in row.to_numpy().tolist()) + "\n"
-    if fmt == "pbm":
-        n = row.order
-        if n % 2:
-            raise ValueError(f"pbm needs an even order exponent for a square reshape, got n={n}")
-        side = 1 << (n // 2)
-        raster = np.full((side, side + 1), ord("\n"), dtype=np.uint8)
-        bits = np.unpackbits(np.frombuffer(row.packed, np.uint8), count=len(row))
-        np.add(bits.reshape(side, side), ord("0"), out=raster[:, :side])
-        del bits  # freed before the text is made, so the peak is 3 bytes per entry
-        return f"P1\n{side} {side}\n" + str(raster, "ascii")
-    raise ValueError(f"unknown export format {fmt!r}")
+        pieces[-1] = pieces[-1][:-1] + b"\n"  # the last entry ends the line
+    return pieces

@@ -23,6 +23,7 @@ from hadrow import (
     full_matrix,
     generate_ordered_row,
     generate_row,
+    kron,
     predicted_cost,
     read_patterns,
     read_pgm,
@@ -96,9 +97,19 @@ class TestRow:
             assert run(*argv, "--format", "packed", "--out", str(out)) == 0
             assert out.read_bytes() == direct_row(to_natural(k, n, ordering), n).packed
 
-    def test_pbm_requires_even_order(self, capsys):
+    def test_pbm_requires_even_order(self, capsys, tmp_path):
         assert run("row", "--index", "1", "--n", "3", "--format", "pbm") == 2
         assert "even" in capsys.readouterr().err
+        out = tmp_path / "row.pbm"
+        assert run("row", "--index", "1", "--n", "3", "--format", "pbm", "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "pbm"])
+    def test_text_peak_is_the_packed_row_and_two_stripes(self, tmp_path, fmt):
+        n = 24
+        argv = ["row", "--index", "3000017", "--n", str(n), "--ordering", "sequency"]
+        peak = _traced_peak(*argv, "--format", fmt, "--out", str(tmp_path / "row.txt"))
+        assert peak <= 1.05 * (1 << n) / 8 + (1 << 20), peak
 
     def test_unwritable_output_is_io_error(self, capsys):
         assert run("row", "--index", "0", "--n", "2", "--out", "/nonexistent/dir/x.csv") == 3
@@ -268,6 +279,18 @@ class TestVerify:
         assert failed == [["oracle-equivalence", "n=1"], ["oracle-equivalence", "n=2"],
                           ["orthogonality", "n=1"], ["orthogonality", "n=2"]]
         assert out[-1] == "4 check(s) FAILED"
+
+    def test_an_overcharging_kron_fails_the_counter_law_at_every_n(self, capsys, monkeypatch):
+        def kron_plus_one(a, b, counter):
+            counter.add(1)
+            return kron(a, b, counter)
+
+        monkeypatch.setattr(cli, "kron", kron_plus_one)
+        assert run("verify", "--n-max", "3") == 1
+        out = capsys.readouterr().out.splitlines()
+        failed = [line.split()[:2] for line in out if line.endswith("FAIL")]
+        assert failed == [["counter-law", f"C({n})"] for n in (1, 2, 3)]
+        assert out[-1] == "3 check(s) FAILED"
 
 
 class TestSimulateReconstruct:
@@ -855,8 +878,12 @@ class TestBench:
     def test_leaves_a_callers_tracemalloc_session_running(self, capsys):
         tracemalloc.start()
         try:
+            buffer = bytearray(8 << 20)  # the caller's peak: 8 MiB, then freed
+            del buffer
             assert run("bench", "--n-min", "10", "--n-max", "11", "--repeats", "1") == 0
             assert tracemalloc.is_tracing()
+            # As documented, bench resets the session's peak, so the caller's is lost.
+            assert tracemalloc.get_traced_memory()[1] < 8 << 20
         finally:
             tracemalloc.stop()
         lines = capsys.readouterr().out.strip().splitlines()[1:]

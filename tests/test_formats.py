@@ -29,6 +29,18 @@ def _rows_for(n, indices, scheme=OrderingScheme.NATURAL):
     return [(k, generate_row(k, n)[0]) for k in indices]
 
 
+def _reference_text(signs, fmt):
+    """csv or pbm text of a list of +1/-1 entries, built one entry at a time."""
+    if fmt == "csv":
+        return ",".join(str(v) for v in signs) + "\n"
+    side = 1 << (len(signs).bit_length() // 2)
+    lines = (
+        "".join("1" if v == -1 else "0" for v in signs[r * side : (r + 1) * side]) + "\n"
+        for r in range(side)
+    )
+    return f"P1\n{side} {side}\n" + "".join(lines)
+
+
 class TestWritePatterns:
     def test_header_and_payload_bytes_order_two(self):
         data = write_patterns(_rows_for(1, [1]), 1, OrderingScheme.NATURAL)
@@ -218,16 +230,24 @@ class TestExportRowText:
     @given(st.integers(1, 7).flatmap(lambda h: st.tuples(st.integers(0, 4**h - 1), st.just(2 * h))))
     def test_pbm_matches_text_built_from_the_direct_row(self, case):
         i, n = case
-        side = 1 << (n // 2)
-        signs = direct_row(i, n).to_numpy().tolist()
-        lines = (
-            "".join("1" if v == -1 else "0" for v in signs[r * side : (r + 1) * side]) + "\n"
-            for r in range(side)
-        )
-        expected = f"P1\n{side} {side}\n" + "".join(lines)
+        expected = _reference_text(direct_row(i, n).to_numpy().tolist(), "pbm")
         # A bare bool: pytest's diff of two 2^14-pixel bitmaps would dwarf the test.
         same = export_row_text(generate_row(i, n)[0], "pbm") == expected
         assert same, (i, n)
+
+    @given(st.integers(1, 16).flatmap(lambda n: st.tuples(st.integers(0, 2**n - 1), st.just(n))))
+    def test_csv_matches_text_built_from_the_direct_row(self, case):
+        i, n = case
+        expected = _reference_text(direct_row(i, n).to_numpy().tolist(), "csv")
+        same = export_row_text(generate_row(i, n)[0], "csv") == expected
+        assert same, (i, n)
+
+    @pytest.mark.parametrize("fmt,n", [("csv", 17), ("pbm", 18)])
+    def test_a_vector_of_many_distinct_stripes(self, fmt, n):
+        # Random entries: each of the 4 or 8 stripes of 2^15 entries is rendered on its own.
+        signs = np.random.default_rng(n).choice([1, -1], size=1 << n).tolist()
+        same = export_row_text(SignVector.from_signs(signs), fmt) == _reference_text(signs, fmt)
+        assert same, (fmt, n)
 
     def test_pbm_of_a_one_entry_row(self):
         assert export_row_text(SignVector(b"\x00", 1), "pbm") == "P1\n1 1\n0\n"
@@ -240,3 +260,5 @@ class TestExportRowText:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             export_row_text(generate_row(0, 2)[0], "png")
+        with pytest.raises(ValueError, match="unknown export format"):  # bytes, not text
+            export_row_text(generate_row(0, 2)[0], "packed")

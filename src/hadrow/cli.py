@@ -132,7 +132,8 @@ def _parse_indices(text: str, n: int) -> np.ndarray:
         if lo < 0 or hi > size:
             raise UsageError(f"indices must lie in [0, {size})")
         pieces.append(np.arange(lo, hi, dtype=np.int64))
-    picked = np.unique(np.concatenate(pieces))
+    picked = np.sort(np.concatenate(pieces))
+    picked = picked[np.diff(picked, prepend=-1) != 0]  # each index once
     if not picked.size:
         raise UsageError("--indices selected nothing")
     return picked

@@ -122,8 +122,21 @@ def _first_not_increasing(indices: np.ndarray) -> int | None:
     return int(bad[0]) + 1 if bad.size else None
 
 
-# Row b holds the 8 signs that byte value b packs, most significant bit first.
-_SIGNS = 1 - 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int8)
+def _word_signs() -> np.ndarray:
+    """Row w holds the 16 signs that big-endian word w packs, most significant bit first.
+
+    65536 x 16 int8, 1 MiB: filled in place from the 256 x 8 byte table, the
+    high byte's signs then the low byte's, so the build makes no large temporary.
+    """
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    byte_signs = 1 - 2 * bits.astype(np.int8)
+    table = np.empty((256, 256, 16), dtype=np.int8)
+    table[:, :, :8] = byte_signs[:, None, :]
+    table[:, :, 8:] = byte_signs[None, :, :]
+    return table.reshape(1 << 16, 16)
+
+
+_SIGNS = _word_signs()
 
 
 @dataclass(frozen=True)
@@ -171,6 +184,16 @@ class SignVector:
         return cls(data, length)
 
     @classmethod
+    def _trusted(cls, packed: bytes, length: int) -> "SignVector":
+        # Unchecked path for `formats.read_patterns` alone, whose bulk checks
+        # already fix every row's length and padding; `packed` must be bytes.
+        # Set as the frozen dataclass's own __init__ does, so no per-row dict is made.
+        row = object.__new__(cls)
+        object.__setattr__(row, "packed", packed)
+        object.__setattr__(row, "length", length)
+        return row
+
+    @classmethod
     def _pack(cls, signs: np.ndarray) -> "SignVector":
         # Trusted path: caller guarantees a 1-d +-1 array of power-of-two size.
         return cls(np.packbits(signs == -1).tobytes(), signs.size)
@@ -195,9 +218,15 @@ class SignVector:
         return iter(self.to_numpy().tolist())
 
     def to_numpy(self) -> np.ndarray:
-        """Unpack to a fresh int8 array of +1/-1 entries."""
-        packed = np.frombuffer(self.packed, dtype=np.uint8)
-        return _SIGNS.take(packed, axis=0).reshape(-1)[: self.length]
+        """Unpack to a fresh int8 array of +1/-1 entries, 16 signs per lookup.
+
+        The packed row, viewed as big-endian 16-bit words, indexes a
+        65536 x 16 sign table (1 MiB, built at import); a one-byte row
+        (length 8 or less) is padded with a zero byte and the result sliced.
+        """
+        packed = self.packed if len(self.packed) > 1 else self.packed + b"\0"
+        words = np.frombuffer(packed, dtype=">u2")
+        return _SIGNS.take(words, axis=0).reshape(-1)[: self.length]
 
     def dot(self, other: "SignVector") -> int:
         """Exact inner product; 2^n on self, 0 against any orthogonal row."""

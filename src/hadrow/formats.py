@@ -144,7 +144,9 @@ def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignV
     The index block passes the writer's shared checks, and one NumPy pass
     checks the padding of the whole row block, naming the first dirty
     row; like every other structural fault, a failure raises
-    `PatternFormatError`.  Each row is then one slice of `data`.
+    `PatternFormatError`.  The header fixes every row's length and that
+    pass covers the padding, so each row is then built once, unchecked,
+    from one slice of `data` as `bytes`.
     """
     if len(data) >= 4 and data[:4] != MAGIC:
         raise BadMagicError(f"bad magic {data[:4]!r}")
@@ -183,9 +185,10 @@ def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignV
         bad = np.flatnonzero(np.frombuffer(data, np.uint8, count, pos) & pad_mask)
         if bad.size:
             raise PatternFormatError(f"row {bad[0]}: padding bits in the final byte must be zero")
+    view = memoryview(data)  # one copy per row, into bytes, whatever the input type
     starts = range(pos, pos + count * row_bytes, row_bytes)
     rows = [
-        (index, SignVector(data[start : start + row_bytes], length))
+        (index, SignVector._trusted(bytes(view[start : start + row_bytes]), length))
         for index, start in zip(indices.tolist(), starts)
     ]
     return header, rows
@@ -199,7 +202,10 @@ def export_row_text(row: SignVector, fmt: str) -> str:
     """
     if fmt == "packed":  # bytes, not text
         raise ValueError(f"unknown export format {fmt!r}")
-    return b"".join(_row_pieces(row, fmt)).decode("ascii")
+    pieces = _row_pieces(row, fmt)
+    # Each distinct piece is decoded once, so the joined text is the one full-size copy.
+    texts = {piece: piece.decode("ascii") for piece in set(pieces)}
+    return "".join([texts[piece] for piece in pieces])
 
 
 def _row_pieces(row: SignVector, fmt: str) -> list[bytes]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hadrow import core
 from hadrow import (
     BASE_MATRIX,
     BitString,
@@ -34,6 +35,20 @@ from hadrow import (
 
 # Row 6 of the order-16 matrix, cross-checked against both oracles below.
 GOLDEN_ROW_6_N4 = [1, 1, -1, -1, -1, -1, 1, 1, 1, 1, -1, -1, -1, -1, 1, 1]
+
+
+def _assert_unpacks_fresh(row):
+    """`row.to_numpy()` equals 1 - 2 * unpackbits of its bytes, as a fresh int8 array."""
+    bits = np.unpackbits(np.frombuffer(row.packed, dtype=np.uint8), count=len(row))
+    expected = 1 - 2 * bits.astype(np.int8)
+    first, second = row.to_numpy(), row.to_numpy()
+    assert first.dtype == np.int8 and first.flags.writeable
+    assert np.array_equal(first, expected)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, core._SIGNS)
+    first[:] = 0
+    assert np.array_equal(second, expected)
+    assert np.array_equal(row.to_numpy(), expected)
 
 
 class TestDec2Bin:
@@ -88,6 +103,11 @@ class TestDec2Bin:
 sign_lists = st.integers(0, 8).flatmap(
     lambda k: st.lists(st.sampled_from([1, -1]), min_size=1 << k, max_size=1 << k)
 )
+
+
+def _order_and_packed_bytes(n):
+    size = ((1 << n) + 7) // 8
+    return st.tuples(st.just(n), st.binary(min_size=size, max_size=size))
 
 
 class TestSignVector:
@@ -159,13 +179,25 @@ class TestSignVector:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 14, 22])
     def test_to_numpy_is_fresh_and_matches_unpackbits(self, n):
-        row = generate_row((1 << n) - 1, n)[0]
-        bits = np.unpackbits(np.frombuffer(row.packed, dtype=np.uint8), count=1 << n)
-        first = row.to_numpy()
-        assert first.dtype == np.int8
-        assert np.array_equal(first, 1 - 2 * bits.astype(np.int8))
-        first[:] = 0
-        assert np.array_equal(row.to_numpy(), 1 - 2 * bits.astype(np.int8))
+        _assert_unpacks_fresh(generate_row((1 << n) - 1, n)[0])
+
+    def test_to_numpy_unpacks_every_16_bit_word(self):
+        # One 2^20-entry row whose words count through all 65536 table entries.
+        row = SignVector(np.arange(1 << 16, dtype=">u2").tobytes(), 1 << 20)
+        _assert_unpacks_fresh(row)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_to_numpy_of_one_byte_rows(self, n):
+        # Every clean byte of a 2-, 4- or 8-entry row, padded to one word before the lookup.
+        for byte in range(0, 256, 1 << (8 - (1 << n))):
+            _assert_unpacks_fresh(SignVector(bytes((byte,)), 1 << n))
+
+    @given(st.integers(1, 12).flatmap(_order_and_packed_bytes))
+    def test_to_numpy_of_random_packed_rows(self, case):
+        n, data = case  # rows of n < 3 get their padding bits cleared
+        pad = 8 * len(data) - (1 << n)
+        data = data[:-1] + bytes((data[-1] & (0xFF << pad) & 0xFF,))
+        _assert_unpacks_fresh(SignVector(data, 1 << n))
 
     def test_rejects_wrong_storage_size(self):
         with pytest.raises(ValueError):

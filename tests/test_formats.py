@@ -1,6 +1,8 @@
 """Tests for HADP pattern streams and textual row exports."""
 
+import gc
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +141,19 @@ class TestReadPatterns:
         header, rows = read_patterns(write_patterns(_rows_for(n, [0, (1 << n) - 1]), n, "natural"))
         assert header.row_bytes() == len(rows[0][1].packed) == ((1 << n) + 7) // 8
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10])
+    def test_bytes_bytearray_and_memoryview_read_the_same_rows(self, n):
+        picked = sorted({0, 1, (1 << n) // 3, (1 << n) - 1})
+        data = write_patterns(_rows_for(n, picked), n, OrderingScheme.DYADIC)
+        results = [read_patterns(kind(data)) for kind in (bytes, bytearray, memoryview)]
+        assert results[1] == results[0] and results[2] == results[0]
+        for _, rows in results:
+            assert [k for k, _ in rows] == picked
+            for _, row in rows:
+                assert type(row.packed) is bytes
+                checked = SignVector(row.packed, 1 << n)
+                assert row == checked and hash(row) == hash(checked)
+
     def test_recovers_order_two_example(self):
         data = write_patterns(_rows_for(1, [1]), 1, OrderingScheme.NATURAL)
         _, rows = read_patterns(data)
@@ -262,3 +277,19 @@ class TestExportRowText:
             export_row_text(generate_row(0, 2)[0], "png")
         with pytest.raises(ValueError, match="unknown export format"):  # bytes, not text
             export_row_text(generate_row(0, 2)[0], "packed")
+
+    @pytest.mark.parametrize("fmt", ["csv", "pbm"])
+    def test_text_at_order_22_is_held_once(self, fmt):
+        # csv is a 10 MiB text and pbm a 4 MiB one; only one full-size copy may be live.
+        row = generate_row(3000017, 22)[0]
+        export_row_text(generate_row(5, 4)[0], fmt)  # warm numpy paths
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            text = export_row_text(row, fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == _reference_text(direct_row(3000017, 22).to_numpy().tolist(), fmt)
+        assert peak - base <= 1.1 * len(text)

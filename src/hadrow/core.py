@@ -123,20 +123,22 @@ def _first_not_increasing(indices: np.ndarray) -> int | None:
 
 
 def _word_signs() -> np.ndarray:
-    """Row w holds the 16 signs that big-endian word w packs, most significant bit first.
+    """Item w holds the 16 signs that little-endian word w packs: w & 0xFF's, then w >> 8's.
 
-    65536 x 16 int8, 1 MiB: filled in place from the 256 x 8 byte table, the
-    high byte's signs then the low byte's, so the build makes no large temporary.
+    65536 items of 16 bytes (`V16`), 1 MiB: filled in place from the 256 x 8
+    byte table, most significant bit of each byte first, so the build makes no
+    large temporary.  A row viewed as `<u2` words gathers with one `take`.
     """
     bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
     byte_signs = 1 - 2 * bits.astype(np.int8)
-    table = np.empty((256, 256, 16), dtype=np.int8)
-    table[:, :, :8] = byte_signs[:, None, :]
-    table[:, :, 8:] = byte_signs[None, :, :]
-    return table.reshape(1 << 16, 16)
+    table = np.empty((256, 256, 16), dtype=np.int8)  # [w >> 8, w & 0xFF]
+    table[:, :, :8] = byte_signs[None, :, :]
+    table[:, :, 8:] = byte_signs[:, None, :]
+    return table.reshape(-1).view("V16")
 
 
 _SIGNS = _word_signs()
+_WORDS = np.dtype("<u2")  # the table's word order on every host
 
 
 @dataclass(frozen=True)
@@ -168,12 +170,13 @@ class SignVector:
 
     @classmethod
     def from_signs(cls, values) -> "SignVector":
-        """Pack a sequence of +1/-1 entries."""
-        arr = np.asarray(values)
-        if arr.ndim != 1 or arr.size == 0:
+        """Pack a sequence of +1/-1 integer entries; a bool or a float raises TypeError."""
+        shape = np.shape(values)
+        if len(shape) != 1 or shape[0] == 0:
             raise ValueError("sign vector must be a non-empty 1-d sequence")
-        if arr.size & (arr.size - 1):
-            raise ValueError(f"sign vector length must be a power of two, got {arr.size}")
+        if shape[0] & (shape[0] - 1):
+            raise ValueError(f"sign vector length must be a power of two, got {shape[0]}")
+        arr = _integer_array(values, "sign entries")
         if not np.all((arr == 1) | (arr == -1)):
             raise ValueError("sign vector entries must be +1 or -1")
         return cls._pack(arr.astype(np.int8))
@@ -220,13 +223,14 @@ class SignVector:
     def to_numpy(self) -> np.ndarray:
         """Unpack to a fresh int8 array of +1/-1 entries, 16 signs per lookup.
 
-        The packed row, viewed as big-endian 16-bit words, indexes a
-        65536 x 16 sign table (1 MiB, built at import); a one-byte row
-        (length 8 or less) is padded with a zero byte and the result sliced.
+        The packed row, viewed as little-endian 16-bit words, gathers 16-byte
+        items from a 65536-item sign table (1 MiB, built at import) in one
+        `take`; a one-byte row (length 8 or less) is padded with a zero byte
+        and the result sliced.
         """
         packed = self.packed if len(self.packed) > 1 else self.packed + b"\0"
-        words = np.frombuffer(packed, dtype=">u2")
-        return _SIGNS.take(words, axis=0).reshape(-1)[: self.length]
+        words = np.frombuffer(packed, dtype=_WORDS)
+        return _SIGNS.take(words).view(np.int8)[: self.length]
 
     def dot(self, other: "SignVector") -> int:
         """Exact inner product; 2^n on self, 0 against any orthogonal row."""

@@ -145,8 +145,9 @@ def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignV
     checks the padding of the whole row block, naming the first dirty
     row; like every other structural fault, a failure raises
     `PatternFormatError`.  The header fixes every row's length and that
-    pass covers the padding, so each row is then built once, unchecked,
-    from one slice of `data` as `bytes`.
+    pass covers the padding, so one `struct.iter_unpack` pass then splits
+    the row block into `bytes` rows, copies that never alias `data`, and
+    each row is built once from its copy, unchecked.
     """
     if len(data) >= 4 and data[:4] != MAGIC:
         raise BadMagicError(f"bad magic {data[:4]!r}")
@@ -185,13 +186,11 @@ def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignV
         bad = np.flatnonzero(np.frombuffer(data, np.uint8, count, pos) & pad_mask)
         if bad.size:
             raise PatternFormatError(f"row {bad[0]}: padding bits in the final byte must be zero")
-    view = memoryview(data)  # one copy per row, into bytes, whatever the input type
-    starts = range(pos, pos + count * row_bytes, row_bytes)
-    rows = [
-        (index, SignVector._trusted(bytes(view[start : start + row_bytes]), length))
-        for index, start in zip(indices.tolist(), starts)
+    rows = struct.iter_unpack(f"{row_bytes}s", memoryview(data)[pos:])
+    return header, [
+        (index, SignVector._trusted(packed, length))
+        for index, (packed,) in zip(indices.tolist(), rows)
     ]
-    return header, rows
 
 
 def export_row_text(row: SignVector, fmt: str) -> str:

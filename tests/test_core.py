@@ -43,6 +43,7 @@ def _assert_unpacks_fresh(row):
     expected = 1 - 2 * bits.astype(np.int8)
     first, second = row.to_numpy(), row.to_numpy()
     assert first.dtype == np.int8 and first.flags.writeable
+    assert first.ndim == 1 and first.flags.c_contiguous and first.shape == (len(row),)
     assert np.array_equal(first, expected)
     assert not np.shares_memory(first, second)
     assert not np.shares_memory(first, core._SIGNS)
@@ -214,6 +215,24 @@ class TestSignVector:
     def test_from_signs_rejects_empty_and_2d_input(self, values):
         with pytest.raises(ValueError, match="non-empty 1-d sequence"):
             SignVector.from_signs(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[True, True], np.array([True, True]), [1.0, -1.0], [1, True], np.array([1.0, -1.0])],
+        ids=["bool-list", "bool-array", "float-list", "int-and-bool-list", "float-array"],
+    )
+    def test_from_signs_rejects_bools_and_floats(self, values):
+        # The one integer rule: +1/-1 written as a bool or a float is not an integer entry.
+        with pytest.raises(TypeError):
+            SignVector.from_signs(values)
+
+    @pytest.mark.parametrize("dtype", list(np.typecodes["AllInteger"]))
+    def test_from_signs_packs_every_integer_dtype(self, dtype):
+        signed = np.dtype(dtype).kind == "i"
+        signs = [1, -1, -1, 1] if signed else [1, 1, 1, 1]
+        vec = SignVector.from_signs(np.array(signs, dtype=dtype))
+        assert vec == SignVector.from_signs(signs)
+        assert vec.packed == (b"\x60" if signed else b"\x00")
 
     @pytest.mark.parametrize("data", [bytearray(b"\x40"), memoryview(b"\x40"), np.uint8([0x40])])
     def test_from_packed_stores_any_bytes_like_as_bytes(self, data):

@@ -154,6 +154,39 @@ class TestReadPatterns:
                 checked = SignVector(row.packed, 1 << n)
                 assert row == checked and hash(row) == hash(checked)
 
+    @pytest.mark.parametrize("n", [1, 14, 30])
+    def test_a_zero_row_stream_reads_back_empty(self, n):
+        # At n = 30 a row is 2^27 bytes; splitting an empty row block must allocate none.
+        data = write_patterns([], n, OrderingScheme.SEQUENCY)
+        read_patterns(data)  # warm the row format
+        gc.collect()
+        tracemalloc.start()
+        try:
+            header, rows = read_patterns(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (header.n, header.count, rows) == (n, 0, [])
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 10])
+    def test_rows_never_alias_a_bytearray_input(self, n):
+        picked = sorted({0, 1, (1 << n) // 3, (1 << n) - 1})
+        data = bytearray(write_patterns(_rows_for(n, picked), n, OrderingScheme.NATURAL))
+        _, rows = read_patterns(data)
+        before = [row.packed for _, row in rows]
+        pos = HEADER_SIZE + 8 * len(picked)
+        data[pos:] = bytes(~b & 0xFF for b in data[pos:])  # flip every row bit in place
+        assert [row.packed for _, row in rows] == before
+        assert rows == _rows_for(n, picked)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 10])
+    def test_a_memoryview_slice_inside_a_larger_buffer(self, n):
+        picked = sorted({0, (1 << n) // 3, (1 << n) - 1})
+        data = write_patterns(_rows_for(n, picked), n, OrderingScheme.SEQUENCY)
+        outer = memoryview(b"junk" + data + b"tail")[4 : 4 + len(data)]
+        assert read_patterns(outer) == read_patterns(data)
+
     def test_recovers_order_two_example(self):
         data = write_patterns(_rows_for(1, [1]), 1, OrderingScheme.NATURAL)
         _, rows = read_patterns(data)

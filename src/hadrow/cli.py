@@ -50,10 +50,10 @@ from .spi import (
     MAX_PIXEL,
     MeasurementSet,
     PgmError,
+    _pgm_pieces,
     read_pgm,
     reconstruct,
     simulate,
-    write_pgm,
 )
 
 EXIT_OK = 0
@@ -384,8 +384,10 @@ def cmd_reconstruct(args) -> int:
     if estimate.dtype.kind == "f":
         np.rint(estimate, out=estimate)
     np.clip(estimate, 0, MAX_PIXEL, out=estimate)
+    # Each ~1 MiB block of the raster is encoded only as the sink takes it.
+    pieces = _pgm_pieces(estimate.astype(np.int64, copy=False))
     with _output(args.out) as fh:
-        fh.write(write_pgm(estimate.astype(np.int64, copy=False)))
+        fh.writelines(pieces)
     return EXIT_OK
 
 
@@ -477,8 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reconstruct",
         help="invert a measurement CSV back to a PGM: w*2^w additions over the w natural "
-        "index bits the measurements use, then one 2^n write into one output buffer; "
-        "the workspace peaks at that window plus the output",
+        "index bits the measurements use, then one 2^n write into one estimate buffer, "
+        "held whole; the PGM is encoded and written one ~1 MiB block of rows at a time",
     )
     p.add_argument(
         "--measurements",

@@ -150,7 +150,7 @@ def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignV
     each row is built once from its copy, unchecked.
     """
     if len(data) >= 4 and data[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:4]!r}")
+        raise BadMagicError(f"bad magic {bytes(data[:4])!r}")
     if len(data) < HEADER_SIZE:
         raise TruncatedStreamError(
             f"stream of {len(data)} bytes is shorter than the {HEADER_SIZE}-byte header"

@@ -12,8 +12,9 @@ measured.  Scenes travel as portable graymaps (P2 or P5).
 
 from __future__ import annotations
 
+import itertools
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 MAX_PIXEL = 65535
+# A graymap's raster is encoded about this many bytes at a time, whole
+# image rows and at least one (see `_pgm_pieces`).
+_PGM_BLOCK_BYTES = 1 << 20
 
 
 class DuplicateIndexError(ValueError):
@@ -355,6 +359,20 @@ def write_pgm(image, maxval: int | None = None, binary: bool = True) -> bytes:
     Pixels and maxval pass core's integer rule: TypeError for a float or a
     bool, so round and cast an estimate first.  An integer array is read
     as it is.  An empty image raises ValueError: no graymap has a zero side.
+    The graymap is returned whole, joined from the same ~1 MiB blocks that
+    `hadrow reconstruct` writes one at a time.
+    """
+    return b"".join(_pgm_pieces(image, maxval, binary))
+
+
+def _pgm_pieces(image, maxval: int | None = None, binary: bool = True) -> Iterator:
+    """`write_pgm`'s checks, run now, then an iterator of its bytes-like pieces.
+
+    The header comes first, then the raster encoded one block of whole
+    image rows at a time: about _PGM_BLOCK_BYTES of P5 samples and at least
+    one row, the P2 text cut by the same rows.  Each block is encoded only
+    when the iterator reaches it, so a sink that writes and drops each piece
+    never holds the encoded raster whole.
     """
     if isinstance(image, Scene):
         image = image.reshaped()
@@ -374,8 +392,15 @@ def write_pgm(image, maxval: int | None = None, binary: bool = True) -> bytes:
         raise ValueError("pixel exceeds maxval")
     height, width = arr.shape
     header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n".encode("ascii")
+    sample_bytes = 2 if maxval > 255 else 1
+    rows = max(1, _PGM_BLOCK_BYTES // (width * sample_bytes))
+    blocks = (arr[top : top + rows] for top in range(0, height, rows))
     if binary:
-        dtype = ">u2" if maxval > 255 else np.uint8
-        return header + arr.astype(dtype).tobytes()
-    body = "\n".join(" ".join(str(v) for v in row) for row in arr.tolist())
-    return header + body.encode("ascii") + b"\n"
+        dtype = ">u2" if sample_bytes == 2 else np.uint8
+        raster = (block.astype(dtype).data for block in blocks)
+    else:
+        raster = (
+            "".join(" ".join(map(str, row)) + "\n" for row in block.tolist()).encode("ascii")
+            for block in blocks
+        )
+    return itertools.chain((header,), raster)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hadrow import (
     MAX_PIXEL,
     MeasurementSet,
+    Scene,
     direct_row,
     full_matrix,
     generate_ordered_row,
@@ -613,6 +614,83 @@ class TestMeasurementMemory:
         # The parent's parse list and entry tuples peaked at about 216 bytes per entry.
         assert peak <= 64 * (1 << 16)
         assert out.read_bytes() == scene.read_bytes()
+
+
+
+def _library_pgm(measured):
+    """The graymap `hadrow reconstruct` writes, built whole through the library."""
+    return write_pgm(np.clip(np.rint(reconstruct(measured)), 0, MAX_PIXEL).astype(np.int64))
+
+
+# name: (n, width, value range, partial set, estimate dtype kind); odd n takes --width.
+_RASTER_CASES = {
+    "even-full": (6, 8, 255, False, "i"),
+    "odd-full": (7, 16, 255, False, "i"),
+    "partial-int": (8, 16, 10, True, "i"),
+    "partial-float": (8, 16, 2560, True, "f"),
+    "16bit-full": (6, 8, MAX_PIXEL, False, "i"),
+    "16bit-float-clipped": (7, 16, 20_000_000, True, "f"),
+}
+
+
+def _raster_case(name, scheme):
+    """(measurement set, estimate dtype kind, flags) of one reconstruct case."""
+    rng = np.random.default_rng(list(_RASTER_CASES).index(name))
+    n, width, top, partial, kind = _RASTER_CASES[name]
+    if partial:
+        ks = np.sort(rng.choice(1 << n, size=24, replace=False)).tolist()
+        scale = 1 << n if kind == "i" else 1
+        values = (rng.integers(-top, top, size=len(ks)) * scale).tolist()
+        entries = list(zip(ks, values))
+    else:
+        pixels = rng.integers(0, top + 1, size=1 << n)
+        pixels[0] = top
+        entries = simulate(Scene(pixels, width, (1 << n) // width), range(1 << n), scheme).entries
+    measured = MeasurementSet(entries, scheme, n, width, (1 << n) // width)
+    flags = ["--width", str(width)] if n % 2 else []
+    return measured, kind, flags
+
+
+class TestReconstructRaster:
+    """The PGM is encoded and written a block at a time, with the library's bytes."""
+
+    @pytest.mark.parametrize("scheme", ["natural", "sequency", "dyadic"])
+    @pytest.mark.parametrize("name", list(_RASTER_CASES))
+    def test_matches_the_library_path(self, tmp_path, name, scheme):
+        measured, kind, flags = _raster_case(name, scheme)
+        assert reconstruct(measured).dtype.kind == kind
+        csv, out = tmp_path / "m.csv", tmp_path / "r.pgm"
+        # Odd n writes no sides to the header: --width decides them.
+        sides = "" if flags else f" width={measured.width} height={measured.height}"
+        lines = [f"# hadrow n={measured.n} scheme={scheme}{sides}"]
+        csv.write_text("\n".join(lines + [f"{k},{y}" for k, y in measured.entries]) + "\n")
+        assert run("reconstruct", "--measurements", str(csv), "--out", str(out), *flags) == 0
+        expected = _library_pgm(measured)
+        assert out.read_bytes() == expected
+        assert expected.split(b"\n")[2] == (b"65535" if name.startswith("16bit") else b"255")
+
+    def test_stdout_matches_the_library_path(self, tmp_path, capsysbinary):
+        measured, _, _ = _raster_case("partial-float", "sequency")
+        csv = tmp_path / "m.csv"
+        csv.write_text("".join(f"{k},{y}\n" for k, y in measured.entries))
+        assert run("reconstruct", "--measurements", str(csv), "--n", "8", "--ordering",
+                   "sequency") == 0
+        assert capsysbinary.readouterr().out == _library_pgm(measured)
+
+    def test_n22_peak_is_the_estimate_plus_one_block(self, tmp_path):
+        # A 2048x2048 scene from 4096 sequency lines, a few of them nonzero: the
+        # int64 estimate is 32 MiB, and the whole 4 MiB raster, held twice,
+        # once took the peak to 40 MiB.
+        n, scale = 22, 1 << 22
+        values = {0: 128 * scale, 1: 9 * scale, 6: -15 * scale, 100: 4 * scale, 2047: -7 * scale}
+        csv, out = tmp_path / "m.csv", tmp_path / "r.pgm"
+        lines = [f"# hadrow n={n} scheme=sequency width=2048 height=2048"]
+        lines += [f"{k},{values.get(k, 0)}" for k in range(4096)]
+        csv.write_text("\n".join(lines) + "\n")
+        peak = _traced_peak("reconstruct", "--measurements", str(csv), "--out", str(out))
+        assert peak <= (1 << n) * 8 + (3 << 19), peak
+        measured = MeasurementSet(values.items(), "sequency", n, 2048, 2048)
+        assert out.read_bytes() == _library_pgm(measured)
 
 
 def _line_loop(data: bytes):

@@ -193,11 +193,13 @@ class TestReadPatterns:
         assert rows[0][0] == 1
         assert rows[0][1].to_numpy().tolist() == [1, -1]
 
-    def test_bad_magic(self):
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_bad_magic(self, kind):
+        # The message names the four bytes alike for every input type.
         data = bytearray(write_patterns(_rows_for(1, [0]), 1, OrderingScheme.NATURAL))
         data[:4] = b"XXXX"
-        with pytest.raises(BadMagicError):
-            read_patterns(bytes(data))
+        with pytest.raises(BadMagicError, match=r"^bad magic b'XXXX'$"):
+            read_patterns(kind(data))
 
     def test_unsupported_version(self):
         data = bytearray(write_patterns(_rows_for(1, [0]), 1, OrderingScheme.NATURAL))

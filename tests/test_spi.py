@@ -1,6 +1,7 @@
 """Tests for the single-pixel-imaging simulation and graymap handling."""
 
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from hadrow import (
     to_natural_array,
     write_pgm,
 )
+from hadrow.spi import _PGM_BLOCK_BYTES, _pgm_pieces
 
 ALL_SCHEMES = list(OrderingScheme)
 
@@ -540,6 +542,33 @@ class TestPgm:
         with pytest.raises(ValueError, match="nonempty"):
             write_pgm(np.zeros(shape, dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "image,maxval,error,message",
+        [
+            (np.zeros((0, 4), dtype=np.int64), None, ValueError,
+             "image must be a Scene or a nonempty 2-d array, got shape (0, 4)"),
+            (np.zeros(4, dtype=np.int64), None, ValueError,
+             "image must be a Scene or a nonempty 2-d array, got shape (4,)"),
+            (np.array([[1.7, 2.9]]), None, TypeError, "'float' object cannot be interpreted as an integer"),
+            ([[1, True]], None, TypeError, "pixels must be integers, got True"),
+            (np.array([[True, False]]), None, TypeError, "pixels must be integers, got dtype bool"),
+            (np.array([[0, -1]]), None, ValueError, "pixels must be nonnegative"),
+            (np.zeros((2, 2), dtype=np.int64), 1.5, TypeError,
+             "'float' object cannot be interpreted as an integer"),
+            (np.zeros((2, 2), dtype=np.int64), True, TypeError, "maxvals must be integers, got True"),
+            (np.array([[0, 1]]), 0, ValueError, "maxval must be in [1, 65535], got 0"),
+            (np.array([[0, 11]]), 10, ValueError, "pixel exceeds maxval"),
+            (np.array([[0, 70000]]), None, ValueError, "pixel exceeds maxval"),
+        ],
+    )
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_errors_are_raised_by_the_call(self, image, maxval, error, message, binary):
+        # The encoder's checks run when it is called, before any piece is
+        # taken, and write_pgm raises what it always raised.
+        for encode in (_pgm_pieces, write_pgm):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                encode(image, maxval, binary)
+
     def test_bad_magic(self):
         with pytest.raises(PgmError):
             read_pgm(b"P6\n2 2\n255\n\x00\x00\x00\x00")
@@ -613,3 +642,55 @@ class TestPgm:
         with pytest.raises(ValueError) as err:
             read_pgm(data)
         assert not isinstance(err.value, PgmError)
+
+
+def _whole_pgm(arr, binary):
+    """The graymap encoded in one piece: the reference the blocked encoder must match."""
+    height, width = arr.shape
+    maxval = 255 if int(arr.max()) <= 255 else 65535
+    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n".encode("ascii")
+    if binary:
+        return header + arr.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+    body = "\n".join(" ".join(str(v) for v in row) for row in arr.tolist())
+    return header + body.encode("ascii") + b"\n"
+
+
+class TestPgmBlocks:
+    """The raster is encoded in blocks of whole rows, about _PGM_BLOCK_BYTES each."""
+
+    # (P5 bytes per sample, image shape): exactly one block, one row more than
+    # a block, and rows each wider than a block.
+    @pytest.mark.parametrize(
+        "sample_bytes,shape",
+        [
+            (sample, shape)
+            for sample in (1, 2)
+            for shape in (
+                (_PGM_BLOCK_BYTES // (1024 * sample), 1024),
+                (_PGM_BLOCK_BYTES // (1024 * sample) + 1, 1024),
+                (3, _PGM_BLOCK_BYTES // sample + 5),
+            )
+        ],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"{8 * v}bit",
+    )
+    @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
+    def test_blocks_join_to_the_whole_encoding(self, sample_bytes, shape, binary):
+        arr = np.random.default_rng(sum(shape)).integers(0, 256 ** sample_bytes, size=shape)
+        arr[0, 0] = 256 ** sample_bytes - 1  # fixes the maxval: 255 or 65535
+        pieces = list(_pgm_pieces(arr, binary=binary))
+        assert b"".join(pieces) == write_pgm(arr, binary=binary) == _whole_pgm(arr, binary)
+        rows = max(1, _PGM_BLOCK_BYTES // (shape[1] * sample_bytes))
+        assert len(pieces) == 1 + -(-shape[0] // rows)
+        sizes = [memoryview(piece).nbytes for piece in pieces[1:]]
+        if binary:
+            assert set(sizes[:-1]) <= {rows * shape[1] * sample_bytes}
+            assert max(sizes) <= max(_PGM_BLOCK_BYTES, shape[1] * sample_bytes)
+        else:  # text blocks end a line
+            assert all(piece.endswith(b"\n") for piece in pieces[1:])
+
+    def test_small_image_is_one_block(self):
+        arr = np.arange(12).reshape(3, 4)
+        pieces = list(_pgm_pieces(arr, maxval=300))
+        assert len(pieces) == 2
+        assert bytes(pieces[0]) == b"P5\n4 3\n300\n"
+        assert bytes(pieces[1]) == arr.astype(">u2").tobytes()

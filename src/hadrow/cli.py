@@ -13,6 +13,7 @@ import contextlib
 import functools
 import io
 import os
+import stat
 import statistics
 import sys
 import time
@@ -139,15 +140,33 @@ def _parse_indices(text: str, n: int) -> np.ndarray:
     return picked
 
 
+def _open_in_place(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _cut(fh) -> None:
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.truncate()  # flushes, then cuts at the bytes written
+
+
 @contextlib.contextmanager
 def _output(path: str | None):
-    """Binary sink for every subcommand's data: the --out file, else stdout."""
+    """Binary sink for every subcommand's data: the --out file, else stdout.
+
+    A file is overwritten in place, then cut: ext4 makes O_TRUNC wait on a forced writeback.
+    """
     if path is None:
         yield sys.stdout.buffer
         sys.stdout.buffer.flush()
-    else:
-        with open(path, "wb") as fh:
+        return
+    with open(path, "wb", opener=_open_in_place) as fh:
+        try:
             yield fh
+        except BaseException:
+            with contextlib.suppress(OSError):  # the first error stands
+                _cut(fh)
+            raise
+        _cut(fh)
 
 
 def cmd_row(args) -> int:
@@ -437,13 +456,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "and simulate single-pixel imaging.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = (
+        "output path (default stdout); an existing file is overwritten in place and cut "
+        "to the new length, keeping its inode, links and mode"
+    )
 
     p = sub.add_parser("row", help="generate one row")
     p.add_argument("--index", type=int, required=True, help="ordered row index")
     p.add_argument("--n", type=int, required=True, help="order exponent; rows have 2^n entries")
     p.add_argument("--ordering", choices=_SCHEME_NAMES, default="natural")
     p.add_argument("--format", choices=_ROW_FORMATS, default="csv")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--out", default=None, help=out)
     verbose = "print the row's predicted multiplication count, 2^(n+1) - 2, to stderr"
     p.add_argument("--verbose", action="store_true", help=verbose)
     p.set_defaults(func=cmd_row)
@@ -452,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--indices", required=True, help="comma list and/or half-open a..b ranges")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ordering", choices=_SCHEME_NAMES, default="natural")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--out", default=None, help=out)
     p.add_argument(
         "--jobs",
         type=int,
@@ -473,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="P2/P5 graymap with power-of-two sides")
     p.add_argument("--indices", default=None, help="ordered indices (default: all)")
     p.add_argument("--ordering", choices=_SCHEME_NAMES, default="natural")
-    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    p.add_argument("--out", default=None, help="CSV " + out)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
@@ -488,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="CSV of k,y_k lines; comment lines then plain k,y_k lines parse in one "
         "vectorized pass, anything else line by line",
     )
-    p.add_argument("--out", default=None, help="PGM output path (default stdout)")
+    p.add_argument("--out", default=None, help="PGM " + out)
     p.add_argument("--n", type=int, default=None, help="order exponent (overrides CSV header)")
     p.add_argument("--ordering", dest="scheme", choices=_SCHEME_NAMES, default=None)
     derived = (
@@ -504,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--repeats", type=int, default=3, help="timing repeats per order (median)")
-    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    p.add_argument("--out", default=None, help="CSV " + out)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -1,15 +1,18 @@
 """End-to-end tests of the command line surface and its exit-code contract."""
 
 import argparse
+import errno
 import gc
 import io
 import itertools
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from hadrow import (
     MAX_PIXEL,
     MeasurementSet,
+    PgmError,
     Scene,
     direct_row,
     full_matrix,
@@ -934,6 +938,150 @@ class TestParserReuse:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert texts[0].startswith(f"usage: hadrow {command or ''}".rstrip())
+
+
+_OUT_COMMANDS = ["row", "batch", "simulate", "reconstruct", "bench"]
+
+
+@pytest.fixture
+def out_argv(tmp_path, monkeypatch):
+    """One command line per --out subcommand, whose bytes repeat from run to run."""
+    # bench's timings and peaks are pinned so that its CSV repeats too.
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    monkeypatch.setattr(cli, "tracemalloc", SimpleNamespace(
+        is_tracing=lambda: True, get_traced_memory=lambda: (0, 0), reset_peak=lambda: None))
+    scene, csv = tmp_path / "scene.pgm", tmp_path / "m.csv"
+    scene.write_bytes(write_pgm(np.arange(64).reshape(8, 8) * 1000))
+    assert run("simulate", "--image", str(scene), "--ordering", "sequency", "--out", str(csv)) == 0
+    return {
+        "row": ["row", "--index", "21", "--n", "8", "--format", "pbm"],
+        "batch": ["batch", "--indices", "0..40,77", "--n", "9", "--ordering", "dyadic"],
+        "simulate": ["simulate", "--image", str(scene), "--ordering", "sequency"],
+        "reconstruct": ["reconstruct", "--measurements", str(csv)],
+        "bench": ["bench", "--n-min", "3", "--n-max", "5", "--repeats", "1"],
+    }
+
+
+def _stdout_bytes(argv, capsysbinary, code=0):
+    capsysbinary.readouterr()
+    assert run(*argv) == code
+    return capsysbinary.readouterr().out
+
+
+def _longer_file(path, size):
+    path.write_bytes(b"#" * (size + 5000))  # no newline: any stale tail shows
+    return path
+
+
+class TestOutInPlace:
+    """An existing --out file is overwritten in place and cut to the bytes written."""
+
+    @pytest.mark.parametrize("name", _OUT_COMMANDS)
+    def test_longer_file_keeps_inode_and_mode(self, name, out_argv, tmp_path, capsysbinary):
+        expected = _stdout_bytes(out_argv[name], capsysbinary)
+        out = _longer_file(tmp_path / "out", len(expected))
+        out.chmod(0o640)
+        before = out.stat()
+        assert run(*out_argv[name], "--out", str(out)) == 0
+        after = out.stat()
+        assert out.read_bytes() == expected
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    @pytest.mark.parametrize("name", _OUT_COMMANDS)
+    def test_symlink_stays_and_its_target_gets_the_bytes(
+        self, name, out_argv, tmp_path, capsysbinary
+    ):
+        expected = _stdout_bytes(out_argv[name], capsysbinary)
+        target = _longer_file(tmp_path / "target", len(expected))
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        inode = target.stat().st_ino
+        assert run(*out_argv[name], "--out", str(link)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == expected and target.stat().st_ino == inode
+
+    @pytest.mark.parametrize("name", _OUT_COMMANDS)
+    def test_hard_link_sees_the_new_bytes(self, name, out_argv, tmp_path, capsysbinary):
+        expected = _stdout_bytes(out_argv[name], capsysbinary)
+        out = _longer_file(tmp_path / "out", len(expected))
+        other = tmp_path / "other"
+        os.link(out, other)
+        assert run(*out_argv[name], "--out", str(out)) == 0
+        assert other.read_bytes() == expected and out.stat().st_nlink == 2
+
+    @pytest.mark.parametrize("name", _OUT_COMMANDS)
+    def test_new_file_mode_follows_the_umask(self, name, out_argv, tmp_path, capsysbinary):
+        expected = _stdout_bytes(out_argv[name], capsysbinary)
+        out = tmp_path / "new"
+        old = os.umask(0o027)
+        try:
+            assert run(*out_argv[name], "--out", str(out)) == 0
+        finally:
+            os.umask(old)
+        assert out.read_bytes() == expected
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+    def test_error_after_open_cuts_to_the_bytes_written(self, tmp_path, monkeypatch, capsysbinary):
+        def fail(writer, rows):
+            raise OSError(errno.ENOSPC, "no room for rows")
+
+        monkeypatch.setattr(cli.PatternWriter, "write_rows", fail)
+        argv = ["batch", "--indices", "0..40", "--n", "9"]
+        written = _stdout_bytes(argv, capsysbinary, code=3)
+        assert len(written) == 16 + 8 * 40  # the header and index block
+        out = _longer_file(tmp_path / "p.hadp", len(written))
+        assert run(*argv, "--out", str(out)) == 3
+        assert out.read_bytes() == written
+        assert capsysbinary.readouterr().err == b"error: [Errno 28] no room for rows\n"
+
+    def test_pgm_block_error_cuts_to_the_header(
+        self, out_argv, tmp_path, monkeypatch, capsysbinary
+    ):
+        real = cli._pgm_pieces
+
+        def pieces(image):
+            yield next(real(image))  # the header, then the first raster block fails
+            raise PgmError("block lost")
+
+        monkeypatch.setattr(cli, "_pgm_pieces", pieces)
+        written = _stdout_bytes(out_argv["reconstruct"], capsysbinary, code=3)
+        assert written == b"P5\n8 8\n65535\n"
+        out = _longer_file(tmp_path / "out.pgm", len(written))
+        assert run(*out_argv["reconstruct"], "--out", str(out)) == 3
+        assert out.read_bytes() == written
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_the_cut_never_masks_the_first_error(self, monkeypatch, capsys):
+        # Taken for a regular file, /dev/null refuses the cut (EINVAL).
+        monkeypatch.setattr(cli, "stat", SimpleNamespace(S_ISREG=lambda mode: True))
+        argv = ["batch", "--indices", "0..4", "--n", "3", "--out", os.devnull]
+        assert run(*argv) == 3
+        assert "Invalid argument" in capsys.readouterr().err
+
+        def fail(writer, rows):
+            raise ValueError("first")
+
+        monkeypatch.setattr(cli.PatternWriter, "write_rows", fail)
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == "error: first\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    @pytest.mark.parametrize("name", ["batch", "reconstruct"])
+    def test_dev_null_is_written_not_cut(self, name, out_argv):
+        assert run(*out_argv[name], "--out", os.devnull) == 0
+
+    @pytest.mark.parametrize(
+        "name,flag", [("simulate", "--image"), ("reconstruct", "--measurements")]
+    )
+    def test_input_as_its_own_out(self, name, flag, out_argv, tmp_path):
+        argv = out_argv[name]
+        fresh = tmp_path / "fresh"
+        assert run(*argv, "--out", str(fresh)) == 0
+        same = tmp_path / "same"
+        same.write_bytes(Path(argv[argv.index(flag) + 1]).read_bytes())
+        argv[argv.index(flag) + 1] = str(same)
+        assert run(*argv, "--out", str(same)) == 0
+        assert same.read_bytes() == fresh.read_bytes()
 
 
 class TestBench:

@@ -114,10 +114,12 @@ def _parse_indices(text: str, n: int) -> np.ndarray:
 
     Every index and range bound is checked against 2^n before any range is
     expanded, so an oversized range fails at once instead of filling memory.
-    The selection is a sorted int64 array, 8 bytes per selected index.
+    Then every range expands at once: one `np.repeat` of each range's offset
+    plus one `np.arange`.  The selection is a sorted int64 array, 8 bytes per
+    selected index.
     """
     size = 1 << n
-    pieces = []
+    los, counts = [], []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -132,12 +134,17 @@ def _parse_indices(text: str, n: int) -> np.ndarray:
             raise UsageError(f"descending index range {part!r}")
         if lo < 0 or hi > size:
             raise UsageError(f"indices must lie in [0, {size})")
-        pieces.append(np.arange(lo, hi, dtype=np.int64))
-    picked = np.sort(np.concatenate(pieces))
-    picked = picked[np.diff(picked, prepend=-1) != 0]  # each index once
-    if not picked.size:
+        los.append(lo)
+        counts.append(hi - lo)
+    total = sum(counts)
+    if not total:
         raise UsageError("--indices selected nothing")
-    return picked
+    # Slot p of range e, which starts at slot first[e], holds lo[e] + p - first[e].
+    first = np.cumsum(counts) - counts
+    picked = np.repeat(np.array(los, dtype=np.int64) - first, counts)
+    picked += np.arange(total, dtype=np.int64)
+    picked.sort()
+    return picked[np.diff(picked, prepend=-1) != 0]  # each index once
 
 
 def _open_in_place(path, flags):

@@ -141,21 +141,36 @@ _SIGNS = _word_signs()
 _WORDS = np.dtype("<u2")  # the table's word order on every host
 
 
-@dataclass(frozen=True)
+def _is_scalar(value) -> bool:
+    # bytes() reads anything with __index__ as a size (k zero bytes), and a
+    # NumPy bool, which has none, as its one-byte buffer: neither is storage.
+    try:
+        operator.index(value)
+    except TypeError:
+        return isinstance(value, np.bool_)
+    return True
+
+
+@dataclass(frozen=True, slots=True)
 class SignVector:
     """Immutable length-2^k vector over {+1, -1}, stored one bit per entry.
 
     Bit 0 encodes +1 and bit 1 encodes -1, most significant bit of each
     byte first, with the final byte zero padded.  Under this encoding the
     all-plus row packs to all-zero bytes and the popcount of the packed
-    storage counts the -1 entries.
+    storage counts the -1 entries.  Rows are slotted: two fields, no
+    per-row dict.
     """
 
     packed: bytes
     length: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "packed", bytes(self.packed))
+        packed = self.packed
+        if type(packed) is not bytes:
+            if _is_scalar(packed):
+                raise TypeError(f"packed storage must be bytes-like, got {type(packed).__name__}")
+            _set_packed(self, bytes(packed))
         if self.length < 1 or self.length & (self.length - 1):
             raise ValueError(f"length must be a power of two, got {self.length}")
         expected = (self.length + 7) // 8
@@ -190,10 +205,10 @@ class SignVector:
     def _trusted(cls, packed: bytes, length: int) -> "SignVector":
         # Unchecked path for `formats.read_patterns` alone, whose bulk checks
         # already fix every row's length and padding; `packed` must be bytes.
-        # Set as the frozen dataclass's own __init__ does, so no per-row dict is made.
+        # The two slots are set through their descriptors, bound once below.
         row = object.__new__(cls)
-        object.__setattr__(row, "packed", packed)
-        object.__setattr__(row, "length", length)
+        _set_packed(row, packed)
+        _set_length(row, length)
         return row
 
     @classmethod
@@ -225,12 +240,15 @@ class SignVector:
 
         The packed row, viewed as little-endian 16-bit words, gathers 16-byte
         items from a 65536-item sign table (1 MiB, built at import) in one
-        `take`; a one-byte row (length 8 or less) is padded with a zero byte
+        `take`.  Every word indexes the table, so the gather skips the bounds
+        pass (`mode="wrap"` never wraps) and a row of 2 or more bytes needs no
+        slice; a one-byte row (length 8 or less) is padded with a zero byte
         and the result sliced.
         """
-        packed = self.packed if len(self.packed) > 1 else self.packed + b"\0"
-        words = np.frombuffer(packed, dtype=_WORDS)
-        return _SIGNS.take(words).view(np.int8)[: self.length]
+        packed = self.packed
+        if len(packed) > 1:
+            return _SIGNS.take(np.frombuffer(packed, _WORDS), mode="wrap").view(np.int8)
+        return _SIGNS.take(np.frombuffer(packed + b"\0", _WORDS)).view(np.int8)[: self.length]
 
     def dot(self, other: "SignVector") -> int:
         """Exact inner product; 2^n on self, 0 against any orthogonal row."""
@@ -256,6 +274,11 @@ class SignVector:
             body = ",".join(str(v) for v in self)
             return f"SignVector([{body}])"
         return f"SignVector(length={self.length})"
+
+
+# The slot setters of a row, bound once: the frozen class refuses plain assignment.
+_set_packed = SignVector.packed.__set__
+_set_length = SignVector.length.__set__
 
 
 @dataclass(frozen=True)

@@ -187,9 +187,9 @@ def read_patterns(data: bytes) -> tuple[PatternFileHeader, list[tuple[int, SignV
         if bad.size:
             raise PatternFormatError(f"row {bad[0]}: padding bits in the final byte must be zero")
     rows = struct.iter_unpack(f"{row_bytes}s", memoryview(data)[pos:])
+    trusted = SignVector._trusted
     return header, [
-        (index, SignVector._trusted(packed, length))
-        for index, (packed,) in zip(indices.tolist(), rows)
+        (index, trusted(packed, length)) for index, (packed,) in zip(indices.tolist(), rows)
     ]
 
 

@@ -6,6 +6,7 @@ import gc
 import io
 import itertools
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -39,6 +40,7 @@ from hadrow import (
     write_pgm,
 )
 from hadrow import cli
+from hadrow.core import generate_rows
 from hadrow.cli import InputDataError, _parse_measurement_csv, _read_measurements, main
 
 
@@ -252,6 +254,78 @@ class TestIndexSpec:
             picked = cli._parse_indices(spec, n)
             assert picked.dtype == np.int64
             assert picked.tolist() == expected
+
+
+# One --indices entry as (lo, hi, text): a lone index k is k..k+1, and a..a selects nothing.
+_ENTRY = st.one_of(
+    st.integers(0, 63).map(lambda k: (k, k + 1, str(k))),
+    st.tuples(st.integers(0, 64), st.integers(0, 64)).map(sorted).map(
+        lambda b: (b[0], b[1], f"{b[0]}..{b[1]}")
+    ),
+    st.integers(0, 64).map(lambda a: (a, a, f"{a}..{a}")),
+)
+
+
+class TestIndexExpansion:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ENTRY, min_size=1, max_size=8), st.data())
+    def test_selection_is_the_union_of_the_ranges(self, entries, data):
+        entries += data.draw(st.lists(st.sampled_from(entries), max_size=3))  # repeats
+        spec = ",".join(text for *_, text in entries)
+        expected = sorted(set().union(*(range(lo, hi) for lo, hi, _ in entries)))
+        if not expected:
+            with pytest.raises(cli.UsageError, match="^--indices selected nothing$"):
+                cli._parse_indices(spec, 6)
+        else:
+            picked = cli._parse_indices(spec, 6)
+            assert picked.dtype == np.int64
+            assert picked.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("1,,2", "empty entry in --indices"),
+            ("1,x", "bad index entry 'x'"),
+            ("0..y", "bad index range '0..y'"),
+            ("4..2", "descending index range '4..2'"),
+            ("0..65", "indices must lie in [0, 64)"),
+            ("3..3,5..5", "--indices selected nothing"),
+        ],
+    )
+    def test_errors_come_before_any_expansion(self, spec, message, monkeypatch):
+        def expand(*args, **kwargs):
+            raise AssertionError("a range was expanded")
+
+        monkeypatch.setattr(np, "repeat", expand)
+        monkeypatch.setattr(np, "arange", expand)
+        with pytest.raises(cli.UsageError, match=f"^{re.escape(message)}$"):
+            cli._parse_indices(spec, 6)
+
+
+class TestBatchPasses:
+    @pytest.mark.parametrize(
+        "count_of", [lambda c: c - 1, lambda c: c, lambda c: c + 1, lambda c: 2 * c + 1],
+        ids=["chunk-1", "chunk", "chunk+1", "2chunk+1"],
+    )
+    @pytest.mark.parametrize("scheme", ["natural", "sequency", "dyadic"])
+    def test_passes_fit_the_chunk_and_write_the_same_bytes(self, tmp_path, monkeypatch, scheme, count_of):
+        n = 14
+        chunk = cli.BATCH_CHUNK_BYTES // ((1 << n) // 8 + cli._INDEX_WORK_BYTES)
+        count = count_of(chunk)
+        sizes = []
+
+        def recording(naturals, n):
+            sizes.append(len(naturals))
+            return generate_rows(naturals, n)
+
+        monkeypatch.setattr(cli, "generate_rows", recording)
+        half = 100 + count // 2
+        out = tmp_path / "p.hadp"
+        assert run("batch", "--indices", f"{half}..{100 + count},100..{half}", "--n", str(n),
+                   "--ordering", scheme, "--out", str(out)) == 0
+        rows = [(k, generate_ordered_row(k, n, scheme)) for k in range(100, 100 + count)]
+        assert out.read_bytes() == write_patterns(rows, n, scheme)
+        assert sum(sizes) == count and max(sizes) <= chunk
 
 
 class TestVerify:

@@ -1,7 +1,10 @@
 """Unit tests for single-row generation, its oracles, and sign packing."""
 
+import copy
+import dataclasses
 import gc
 import io
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -24,10 +27,12 @@ from hadrow import (
     full_matrix,
     OrderingScheme,
     PatternWriter,
+    generate_ordered_row,
     generate_row,
     generate_rows,
     kron,
     predicted_cost,
+    read_patterns,
     to_natural,
     to_natural_array,
     write_patterns,
@@ -106,6 +111,16 @@ sign_lists = st.integers(0, 8).flatmap(
 )
 
 
+class _Size:
+    """An int-like value with `__index__` only, which `bytes()` reads as a size."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __index__(self):
+        return self.k
+
+
 def _order_and_packed_bytes(n):
     size = ((1 << n) + 7) // 8
     return st.tuples(st.just(n), st.binary(min_size=size, max_size=size))
@@ -178,7 +193,7 @@ class TestSignVector:
         with pytest.raises(ValueError):
             SignVector.from_packed(b"\x41", 2)  # low bits must stay zero
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 14, 22])
+    @pytest.mark.parametrize("n", [*range(1, 17), 22])
     def test_to_numpy_is_fresh_and_matches_unpackbits(self, n):
         _assert_unpacks_fresh(generate_row((1 << n) - 1, n)[0])
 
@@ -240,10 +255,81 @@ class TestSignVector:
         assert type(vec.packed) is bytes
         assert vec == SignVector.from_signs([1, -1])
 
+    @pytest.mark.parametrize(
+        "packed,length",
+        [(2, 16), (1, 8), (True, 8), (np.int64(2), 16), (np.bool_(True), 8),
+         (np.array(2, np.uint8), 16), (_Size(2), 16)],
+        ids=["int", "int-one-byte", "bool", "numpy-int", "numpy-bool", "0-d-array", "index"],
+    )
+    def test_integer_packed_is_refused_not_read_as_a_size(self, packed, length):
+        # bytes(2) is two zero bytes: read as storage, these were all-plus rows.
+        for make in (SignVector, SignVector.from_packed):
+            with pytest.raises(TypeError, match="^packed storage must be bytes-like, got "):
+                make(packed, length)
+
+    def test_zero_d_bytes_array_is_stored_as_its_buffer(self):
+        vec = SignVector(np.array(b"\x40\x00"), 16)
+        assert type(vec.packed) is bytes and vec.packed == b"\x40\x00"
+
+    def test_huge_integer_packed_is_refused_before_any_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TypeError):
+                SignVector(1 << 24, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_repr_lists_short_rows_and_sizes_long_ones(self):
         assert repr(SignVector.from_signs([1, -1, -1, 1])) == "SignVector([1,-1,-1,1])"
         assert repr(generate_row(6, 4)[0]) == f"SignVector([{','.join(map(str, GOLDEN_ROW_6_N4))}])"
         assert repr(generate_row(6, 5)[0]) == "SignVector(length=32)"
+
+
+def _rows_of_every_source():
+    data = write_patterns([(3, generate_ordered_row(3, 4, "sequency"))], 4, "sequency")
+    return {
+        "generate_row": generate_row(6, 4)[0],
+        "generate_ordered_row": generate_ordered_row(5, 14, "sequency"),
+        "direct_row": direct_row(9, 5),
+        "from_signs": SignVector.from_signs([1, -1]),
+        "kron": kron(SignVector.from_signs([1, -1]), SignVector.from_signs([1, 1])),
+        "read_patterns": read_patterns(data)[1][0][1],
+    }
+
+
+_COPIES = {
+    **{f"pickle-{p}": lambda row, p=p: pickle.loads(pickle.dumps(row, p))
+       for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestSlottedRow:
+    @pytest.mark.parametrize("source", list(_rows_of_every_source()))
+    def test_rows_carry_no_dict(self, source):
+        row = _rows_of_every_source()[source]
+        assert not hasattr(row, "__dict__")
+        assert type(row.packed) is bytes
+
+    @pytest.mark.parametrize("how", list(_COPIES))
+    @pytest.mark.parametrize("source", list(_rows_of_every_source()))
+    def test_copies_are_equal_rows_with_equal_hashes(self, source, how):
+        row = _rows_of_every_source()[source]
+        again = _COPIES[how](row)
+        assert type(again) is SignVector and not hasattr(again, "__dict__")
+        assert again == row and hash(again) == hash(row)
+        assert (again.packed, again.length) == (row.packed, row.length)
+        assert np.array_equal(again.to_numpy(), row.to_numpy())
+
+    @pytest.mark.parametrize("field", ["packed", "length"])
+    def test_fields_cannot_be_assigned(self, field):
+        row = generate_row(6, 4)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, field, getattr(row, field))
+        assert row == SignVector.from_signs(GOLDEN_ROW_6_N4)
 
 
 class TestKron:

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Round trips through the installed `hadrow` command: simulate each scene,
 # reconstruct it from the measurement CSV, and compare the PGM bytes with
-# the scene written as P5.
+# the scene written as P5.  installed.sh runs it, and its later checks read
+# the scenes it leaves in DIR.
 #
 #   .github/roundtrip.sh DIR    (scratch files go to DIR)
 #

@@ -114,12 +114,13 @@ def _parse_indices(text: str, n: int) -> np.ndarray:
 
     Every index and range bound is checked against 2^n before any range is
     expanded, so an oversized range fails at once instead of filling memory.
-    Then every range expands at once: one `np.repeat` of each range's offset
-    plus one `np.arange`.  The selection is a sorted int64 array, 8 bytes per
-    selected index.
+    Then ranges that overlap or touch are merged, and the merged ranges
+    expand at once: one `np.repeat` of each range's offset plus one
+    `np.arange`.  The selection is a sorted int64 array, 8 bytes per selected
+    index however many entries name it.
     """
     size = 1 << n
-    los, counts = [], []
+    spans = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -134,17 +135,24 @@ def _parse_indices(text: str, n: int) -> np.ndarray:
             raise UsageError(f"descending index range {part!r}")
         if lo < 0 or hi > size:
             raise UsageError(f"indices must lie in [0, {size})")
-        los.append(lo)
-        counts.append(hi - lo)
-    total = sum(counts)
-    if not total:
+        if lo < hi:
+            spans.append((lo, hi))
+    if not spans:
         raise UsageError("--indices selected nothing")
+    spans.sort()
+    los, his = [], []
+    for lo, hi in spans:
+        if his and lo <= his[-1]:  # overlaps or touches the range before it
+            his[-1] = max(his[-1], hi)
+        else:
+            los.append(lo)
+            his.append(hi)
+    counts = np.subtract(his, los)
     # Slot p of range e, which starts at slot first[e], holds lo[e] + p - first[e].
     first = np.cumsum(counts) - counts
     picked = np.repeat(np.array(los, dtype=np.int64) - first, counts)
-    picked += np.arange(total, dtype=np.int64)
-    picked.sort()
-    return picked[np.diff(picked, prepend=-1) != 0]  # each index once
+    picked += np.arange(picked.size, dtype=np.int64)
+    return picked
 
 
 def _open_in_place(path, flags):

@@ -171,15 +171,19 @@ class SignVector:
             if _is_scalar(packed):
                 raise TypeError(f"packed storage must be bytes-like, got {type(packed).__name__}")
             _set_packed(self, bytes(packed))
-        if self.length < 1 or self.length & (self.length - 1):
-            raise ValueError(f"length must be a power of two, got {self.length}")
-        expected = (self.length + 7) // 8
+        length = self.length
+        if type(length) is not int:
+            length = _integer(length, "row lengths")
+            _set_length(self, length)
+        if length < 1 or length & (length - 1):
+            raise ValueError(f"length must be a power of two, got {length}")
+        expected = (length + 7) // 8
         if len(self.packed) != expected:
             raise ValueError(
                 f"packed storage must be {expected} bytes for length "
-                f"{self.length}, got {len(self.packed)}"
+                f"{length}, got {len(self.packed)}"
             )
-        pad = 8 * expected - self.length
+        pad = 8 * expected - length
         if pad and self.packed[-1] & ((1 << pad) - 1):
             raise ValueError("padding bits in the final byte must be zero")
 

@@ -301,6 +301,20 @@ class TestIndexExpansion:
         with pytest.raises(cli.UsageError, match=f"^{re.escape(message)}$"):
             cli._parse_indices(spec, 6)
 
+    def test_overlapping_entries_cost_the_selection_once(self):
+        # Four copies of one 2 MiB selection were expanded in full, then deduplicated.
+        spec = ",".join(["0..262144"] * 4)
+        cli._parse_indices(spec, 18)  # warm up
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            picked = cli._parse_indices(spec, 18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert picked.tolist() == list(range(262144))
+        assert peak - base < 2.5 * picked.nbytes, peak - base
+
 
 class TestBatchPasses:
     @pytest.mark.parametrize(

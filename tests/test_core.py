@@ -267,6 +267,26 @@ class TestSignVector:
             with pytest.raises(TypeError, match="^packed storage must be bytes-like, got "):
                 make(packed, length)
 
+    @pytest.mark.parametrize(
+        "length,error",
+        [(True, "^row lengths must be integers, got True$"),
+         (np.bool_(True), "^row lengths must be integers, got "),
+         (16.0, "cannot be interpreted as an integer$"),
+         (np.float64(16), "cannot be interpreted as an integer$"),
+         (np.int64(16), None), (np.uint8(16), None)],
+        ids=["bool", "numpy-bool", "float", "numpy-float", "numpy-int64", "numpy-uint8"],
+    )
+    def test_length_follows_the_integer_rule(self, length, error):
+        # A bool length once built an order-0 row; a float one failed on `&`.
+        for make in (SignVector, SignVector.from_packed):
+            if error:
+                with pytest.raises(TypeError, match=error):
+                    make(b"\x00\x00", length)
+            else:
+                row = make(b"\x00\x00", length)
+                assert type(row.length) is int and row.length == 16
+                assert row == SignVector(b"\x00\x00", 16)
+
     def test_zero_d_bytes_array_is_stored_as_its_buffer(self):
         vec = SignVector(np.array(b"\x40\x00"), 16)
         assert type(vec.packed) is bytes and vec.packed == b"\x40\x00"

@@ -9,11 +9,20 @@
 # Cases: 16x16 at full sequency sampling; 32x16 dyadic, an odd order
 # (n = 9); 16x16 at partial sampling, 128 plus 5 times sequency row 5,
 # whose whole spectrum lies in sequency 0..15, so reconstruct works over
-# the measured index bits; 256x256, whose 65536 plain CSV lines take the
-# vectorized parse; 16x16 read from a P2 file with a comment after maxval,
-# a comment at each row end and CRLF line breaks.  Then the 32x16 dyadic
-# scene again from its CSV with the header line dropped: the flags give n
-# and the scheme, and the lone --width 32 decides the height.
+# the measured index bits; 32x16 natural at 8 indices (sparse), 128 plus
+# 5, -4, 3, -2, 2, -3 and 4 times natural rows 9, 18, ..., 63, so the 8
+# measured rows hold its whole spectrum; 256x256, whose 65536 plain CSV
+# lines take the vectorized parse; 16x16 read from a P2 file with a
+# comment after maxval, a comment at each row end and CRLF line breaks.
+# Then the 32x16 dyadic scene again from its CSV with the header line
+# dropped: the flags give n and the scheme, and the lone --width 32
+# decides the height.
+# The sparse case is the only one with fewer than n indices, so the only
+# one whose simulate streams each row from the row kernel; every other
+# case is read off one transform of the scene.  Its indices end in all
+# eight 3-bit patterns, and digits 3..5 are set in some and clear in
+# others, so every first byte and both doubling branches of the kernel
+# are checked.
 # Reconstruct's workspace peaks at the window of measured index bits plus
 # its one 2^n output buffer, at every sampling.
 set -euo pipefail
@@ -26,6 +35,10 @@ dir, name, width, height = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.a
 if name == "low":
     row = direct_row(to_natural(5, 8, "sequency"), 8).to_numpy().tolist()
     raster = bytes(128 + 5 * s for s in row)
+elif name == "sparse":
+    weights = {9: 5, 18: -4, 27: 3, 36: -2, 45: 2, 54: -3, 63: 4}
+    terms = [[w * s for s in direct_row(k, 9).to_numpy().tolist()] for k, w in weights.items()]
+    raster = bytes(128 + sum(column) for column in zip(*terms))
 else:
     seed = {"scene": 1, "odd": 9, "big": 16, "text": 2}[name]
     raster = random.Random(seed).randbytes(width * height)
@@ -47,6 +60,7 @@ done <<'CASES'
 scene 16 16 sequency
 odd 32 16 dyadic
 low 16 16 sequency --indices 0..16
+sparse 32 16 natural --indices 0,9,18,27,36,45,54,63
 big 256 256 sequency
 text 16 16 sequency
 CASES

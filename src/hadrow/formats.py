@@ -14,9 +14,6 @@ from .core import _STRIPE_BITS
 from .ordering import OrderingScheme, _scheme
 
 __all__ = [
-    "MAGIC",
-    "VERSION",
-    "HEADER_SIZE",
     "PatternFormatError",
     "BadMagicError",
     "UnsupportedVersionError",

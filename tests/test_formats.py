@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hadrow import (
+    INDEX_BITS_CAP,
     BadMagicError,
     OrderingScheme,
     PatternFormatError,
@@ -154,9 +155,10 @@ class TestReadPatterns:
                 checked = SignVector(row.packed, 1 << n)
                 assert row == checked and hash(row) == hash(checked)
 
-    @pytest.mark.parametrize("n", [1, 14, 30])
+    @pytest.mark.parametrize("n", [1, 14, 30, INDEX_BITS_CAP])
     def test_a_zero_row_stream_reads_back_empty(self, n):
-        # At n = 30 a row is 2^27 bytes; splitting an empty row block must allocate none.
+        # At n = 30 a row is 2^27 bytes and at n = 62 it is 2^59: splitting an
+        # empty row block must allocate none.
         data = write_patterns([], n, OrderingScheme.SEQUENCY)
         read_patterns(data)  # warm the row format
         gc.collect()
